@@ -1,10 +1,14 @@
-//! Wire-codec throughput: encode/decode of MSG and labelled ACK frames,
-//! plus the legacy-vs-zero-copy batch paths (DESIGN.md §10; the in-tree
-//! acceptance gate is `urb_bench::compare`).
+//! Wire-codec throughput: encode/decode of MSG and labelled ACK messages,
+//! plus the fresh-buffer vs. pooled encode and copying vs. shared decode
+//! of one 16-message mux frame (DESIGN.md §10; the zero-alloc gate is
+//! `urb_bench::compare`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use urb_types::{Batch, BufPool, Label, LabelSet, Payload, Tag, TagAck, WireMessage};
+use urb_types::{
+    encode_mux_frame_into, BufPool, Label, LabelSet, MuxBatch, Payload, Tag, TagAck, TopicId,
+    WireMessage,
+};
 
 fn ack(n_labels: usize, body: usize) -> WireMessage {
     WireMessage::Ack {
@@ -50,43 +54,48 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_paths(c: &mut Criterion) {
-    let batch: Batch = (0..16)
-        .map(|i| if i % 2 == 0 { ack(8, 64) } else { ack(0, 64) })
+fn bench_mux_paths(c: &mut Criterion) {
+    // 16 messages over two topics, the shape of a 2-topic node's step.
+    let entries: Vec<(TopicId, WireMessage)> = (0..16)
+        .map(|i| {
+            let msg = if i % 2 == 0 { ack(8, 64) } else { ack(0, 64) };
+            (TopicId(i / 8), msg)
+        })
         .collect();
-    let frame = batch.encode();
-    let mut group = c.benchmark_group("batch_paths");
+    let mux = MuxBatch::from_entries(&entries);
+    let frame = mux.encode();
+    let mut group = c.benchmark_group("mux_paths");
     group.throughput(Throughput::Bytes(frame.len() as u64));
     group.bench_with_input(
-        BenchmarkId::from_parameter("encode_legacy"),
-        &batch,
-        |b, batch| b.iter(|| black_box(batch.encode())),
+        BenchmarkId::from_parameter("encode_fresh"),
+        &mux,
+        |b, mux| b.iter(|| black_box(mux.encode())),
     );
     group.bench_with_input(
         BenchmarkId::from_parameter("encode_pooled"),
-        &batch,
-        |b, batch| {
+        &entries,
+        |b, entries| {
             let pool = BufPool::new(2);
             let mut buf = pool.acquire();
             b.iter(|| {
                 buf.clear();
-                batch.encode_into(&mut buf);
+                encode_mux_frame_into(entries, &mut buf);
                 black_box(buf.len())
             })
         },
     );
     group.bench_with_input(
-        BenchmarkId::from_parameter("decode_legacy"),
+        BenchmarkId::from_parameter("decode_copied"),
         &frame,
-        |b, frame| b.iter(|| black_box(Batch::decode(frame).unwrap())),
+        |b, frame| b.iter(|| black_box(MuxBatch::decode(frame).unwrap())),
     );
     group.bench_with_input(
         BenchmarkId::from_parameter("decode_shared"),
         &frame,
         |b, frame| {
-            let mut out: Vec<WireMessage> = Vec::new();
+            let mut out: Vec<(TopicId, WireMessage)> = Vec::new();
             b.iter(|| {
-                Batch::decode_shared_into(frame, &mut out).unwrap();
+                MuxBatch::decode_shared_into(frame, &mut out).unwrap();
                 black_box(out.len())
             })
         },
@@ -107,6 +116,6 @@ fn bench_hashes(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_encode, bench_decode, bench_batch_paths, bench_hashes
+    targets = bench_encode, bench_decode, bench_mux_paths, bench_hashes
 );
 criterion_main!(benches);

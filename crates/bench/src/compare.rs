@@ -1,160 +1,19 @@
-//! Deterministic A/B harness: legacy codec vs. the zero-copy batch path.
+//! Deterministic A/B harness: the topic directory vs. the binary-search
+//! dispatch it replaced (DESIGN.md §16), plus the zero-alloc gates of the
+//! mux codec and mux ingress (DESIGN.md §10, §12).
 //!
-//! The zero-copy plane (DESIGN.md §10) claims two things: the new path
-//! is **equivalent** (byte-identical frames, identical decodes) and
-//! **faster** (no per-frame allocation on encode, no payload copies on
-//! decode). This module makes both claims executable in-tree:
-//!
-//! 1. a seeded corpus of batches — same seed, same corpus, forever —
-//!    is replayed through both paths and every frame/decode compared;
-//! 2. both paths are timed over the same corpus (best-of-`trials`
-//!    minimum, which is robust against scheduler noise);
-//! 3. with the `count-allocs` feature, allocations per operation are
-//!    measured for each path.
-//!
-//! `codec_ab_harness` in this module's tests is the acceptance gate:
-//! equivalence must be exact and the zero-copy encode must win.
+//! [`run_dispatch`] replays a seeded probe stream through both lookups,
+//! asserts identical verdicts and times each side best-of-`trials`. The
+//! `*_when_counted` tests in this module assert zero steady-state
+//! allocations when the `count-allocs` feature installs the counting
+//! allocator.
 
-use crate::alloc_count::count_allocations;
-use bytes::Bytes;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
 use urb_core::Algorithm;
 use urb_engine::{TopicEngine, TopicState};
-use urb_types::{
-    Batch, BufPool, FdSnapshot, Label, LabelSet, Payload, RandomSource, SplitMix64, Tag, TagAck,
-    TopicId, WireMessage,
-};
-
-/// One timed side of the A/B comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct PathMeasure {
-    /// Best-of-trials wall time for one whole-corpus pass, nanoseconds.
-    pub ns_per_pass: u64,
-    /// Mean heap allocations per frame during a pass (`None` without the
-    /// `count-allocs` feature).
-    pub allocs_per_frame: Option<f64>,
-}
-
-/// Everything the A/B harness measured. Produced by [`run`].
-#[derive(Clone, Debug)]
-pub struct CompareReport {
-    /// Corpus seed (the corpus is a pure function of it).
-    pub seed: u64,
-    /// Batches in the corpus.
-    pub batches: usize,
-    /// Messages across all batches.
-    pub messages: usize,
-    /// Total encoded bytes across all frames.
-    pub bytes: usize,
-    /// Every zero-copy frame was byte-identical to its legacy twin.
-    pub frames_identical: bool,
-    /// Both decode paths returned the original messages for every frame.
-    pub roundtrip_ok: bool,
-    /// Legacy encode: fresh buffer + freeze per frame.
-    pub encode_legacy: PathMeasure,
-    /// Zero-copy encode: one pooled buffer reused across the pass.
-    pub encode_pooled: PathMeasure,
-    /// Legacy decode: payloads copied out of the frame.
-    pub decode_legacy: PathMeasure,
-    /// Shared decode: payloads as refcounted frame views.
-    pub decode_shared: PathMeasure,
-}
-
-impl CompareReport {
-    /// Legacy-over-pooled encode time ratio (> 1 ⇒ zero-copy wins).
-    pub fn encode_speedup(&self) -> f64 {
-        self.encode_legacy.ns_per_pass as f64 / self.encode_pooled.ns_per_pass.max(1) as f64
-    }
-
-    /// Legacy-over-shared decode time ratio (> 1 ⇒ zero-copy wins).
-    pub fn decode_speedup(&self) -> f64 {
-        self.decode_legacy.ns_per_pass as f64 / self.decode_shared.ns_per_pass.max(1) as f64
-    }
-
-    /// Human-readable one-screen rendering (the `urb bench` footer).
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "codec A/B (seed {}): {} batches, {} messages, {} frame bytes",
-            self.seed, self.batches, self.messages, self.bytes
-        );
-        let _ = writeln!(
-            s,
-            "  equivalence: frames identical = {}, round-trip = {}",
-            self.frames_identical, self.roundtrip_ok
-        );
-        let allocs = |m: &PathMeasure| {
-            m.allocs_per_frame
-                .map_or("n/a (enable count-allocs)".to_string(), |a| {
-                    format!("{a:.2} allocs/frame")
-                })
-        };
-        let _ = writeln!(
-            s,
-            "  encode: legacy {} ns/pass ({}) vs zero-copy {} ns/pass ({}) → {:.2}× ",
-            self.encode_legacy.ns_per_pass,
-            allocs(&self.encode_legacy),
-            self.encode_pooled.ns_per_pass,
-            allocs(&self.encode_pooled),
-            self.encode_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "  decode: legacy {} ns/pass ({}) vs shared {} ns/pass ({}) → {:.2}× ",
-            self.decode_legacy.ns_per_pass,
-            allocs(&self.decode_legacy),
-            self.decode_shared.ns_per_pass,
-            allocs(&self.decode_shared),
-            self.decode_speedup()
-        );
-        s
-    }
-}
-
-/// Builds the seeded corpus: a deterministic spread of batch sizes,
-/// payload lengths and message variants shaped like real protocol
-/// traffic (MSG-heavy with label-carrying ACK bursts and the occasional
-/// heartbeat).
-pub fn corpus(seed: u64, batches: usize) -> Vec<Batch> {
-    let mut rng = SplitMix64::new(seed ^ 0xC0DE_CAB5);
-    (0..batches)
-        .map(|_| {
-            let len = 1 + (rng.next_u64() % 32) as usize;
-            (0..len)
-                .map(|_| {
-                    let payload_len = (rng.next_u64() % 128) as usize;
-                    let body: Vec<u8> = (0..payload_len).map(|_| rng.next_u64() as u8).collect();
-                    match rng.next_u64() % 5 {
-                        0 | 1 => WireMessage::Msg {
-                            tag: Tag(rng.next_u64() as u128),
-                            payload: Payload::from(body),
-                        },
-                        2 | 3 => WireMessage::Ack {
-                            tag: Tag(rng.next_u64() as u128),
-                            tag_ack: TagAck(rng.next_u64() as u128),
-                            payload: Payload::from(body),
-                            labels: if rng.next_u64().is_multiple_of(2) {
-                                Some(LabelSet::from_iter(
-                                    (0..rng.next_u64() % 8).map(|_| Label(rng.next_u64())),
-                                ))
-                            } else {
-                                None
-                            },
-                        },
-                        _ => WireMessage::Heartbeat {
-                            label: Label(rng.next_u64()),
-                            seq: rng.next_u64(),
-                        },
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
+use urb_types::{FdSnapshot, RandomSource, SplitMix64, TopicId};
 
 fn best_of<T>(trials: usize, mut pass: impl FnMut() -> T) -> (u64, T) {
     let mut best = u64::MAX;
@@ -165,116 +24,6 @@ fn best_of<T>(trials: usize, mut pass: impl FnMut() -> T) -> (u64, T) {
         best = best.min(start.elapsed().as_nanos() as u64);
     }
     (best, last)
-}
-
-/// Replays the seeded corpus through both codec paths: verifies
-/// equivalence, times each path (best of `trials` passes) and, when the
-/// `count-allocs` feature is on, measures allocations per frame.
-pub fn run(seed: u64, trials: usize) -> CompareReport {
-    let corpus = corpus(seed, 64);
-    let batches = corpus.len();
-    let messages: usize = corpus.iter().map(|b| b.len()).sum();
-
-    // --- Equivalence -----------------------------------------------------
-    let pool = BufPool::new(2);
-    let mut frames_identical = true;
-    let mut roundtrip_ok = true;
-    let mut legacy_frames: Vec<Bytes> = Vec::with_capacity(batches);
-    for batch in &corpus {
-        let legacy = batch.encode();
-        let mut pooled = pool.acquire();
-        batch.encode_into(&mut pooled);
-        frames_identical &= pooled[..] == legacy[..];
-        let copied = Batch::decode(&legacy);
-        let shared = Batch::decode_shared(&legacy);
-        roundtrip_ok &= matches!((&copied, &shared), (Ok(a), Ok(b)) if a == batch && b == batch);
-        legacy_frames.push(legacy);
-    }
-    let bytes: usize = legacy_frames.iter().map(|f| f.len()).sum();
-
-    // --- Encode timing ---------------------------------------------------
-    let (legacy_ns, legacy_allocs) = {
-        let (ns, (_, allocs)) = best_of(trials, || {
-            count_allocations(|| {
-                for batch in &corpus {
-                    black_box(batch.encode());
-                }
-            })
-        });
-        (ns, allocs)
-    };
-    let (pooled_ns, pooled_allocs) = {
-        // One reused buffer — the steady-state shape of the hot path.
-        let mut frame = pool.acquire();
-        // Warm the buffer so the measured passes are pure steady state.
-        for batch in &corpus {
-            frame.clear();
-            batch.encode_into(&mut frame);
-        }
-        let (ns, (_, allocs)) = best_of(trials, || {
-            count_allocations(|| {
-                for batch in &corpus {
-                    frame.clear();
-                    batch.encode_into(&mut frame);
-                    black_box(frame.len());
-                }
-            })
-        });
-        (ns, allocs)
-    };
-
-    // --- Decode timing ---------------------------------------------------
-    let (dec_legacy_ns, dec_legacy_allocs) = {
-        let (ns, (_, allocs)) = best_of(trials, || {
-            count_allocations(|| {
-                for frame in &legacy_frames {
-                    black_box(Batch::decode(frame).unwrap());
-                }
-            })
-        });
-        (ns, allocs)
-    };
-    let (dec_shared_ns, dec_shared_allocs) = {
-        let mut out: Vec<WireMessage> = Vec::new();
-        for frame in &legacy_frames {
-            Batch::decode_shared_into(frame, &mut out).unwrap(); // warm scratch
-        }
-        let (ns, (_, allocs)) = best_of(trials, || {
-            count_allocations(|| {
-                for frame in &legacy_frames {
-                    Batch::decode_shared_into(frame, &mut out).unwrap();
-                    black_box(out.len());
-                }
-            })
-        });
-        (ns, allocs)
-    };
-
-    let per_frame = |allocs: Option<u64>| allocs.map(|a| a as f64 / batches as f64);
-    CompareReport {
-        seed,
-        batches,
-        messages,
-        bytes,
-        frames_identical,
-        roundtrip_ok,
-        encode_legacy: PathMeasure {
-            ns_per_pass: legacy_ns,
-            allocs_per_frame: per_frame(legacy_allocs),
-        },
-        encode_pooled: PathMeasure {
-            ns_per_pass: pooled_ns,
-            allocs_per_frame: per_frame(pooled_allocs),
-        },
-        decode_legacy: PathMeasure {
-            ns_per_pass: dec_legacy_ns,
-            allocs_per_frame: per_frame(dec_legacy_allocs),
-        },
-        decode_shared: PathMeasure {
-            ns_per_pass: dec_shared_ns,
-            allocs_per_frame: per_frame(dec_shared_allocs),
-        },
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -450,58 +199,9 @@ pub fn run_dispatch(seed: u64, topics: u32, trials: usize) -> DispatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corpus_is_deterministic_and_varied() {
-        let a = corpus(9, 32);
-        let b = corpus(9, 32);
-        assert_eq!(a, b, "same seed, same corpus");
-        let c = corpus(10, 32);
-        assert_ne!(a, c, "different seed, different corpus");
-        let kinds: std::collections::BTreeSet<usize> = a
-            .iter()
-            .flat_map(|b| b.messages())
-            .map(|m| m.kind().index())
-            .collect();
-        assert_eq!(kinds.len(), 3, "all message variants appear");
-    }
-
-    /// The acceptance gate (ISSUE 3): the zero-copy path must be
-    /// byte-identical to the legacy codec AND beat it on batch-encode
-    /// throughput. Timing uses best-of-5 whole-corpus passes, so the
-    /// comparison is stable even on loaded CI machines: the legacy path
-    /// pays an allocation and a freeze copy per frame that the pooled
-    /// path simply does not perform.
-    #[test]
-    fn codec_ab_harness() {
-        let report = run(7, 5);
-        assert!(
-            report.frames_identical,
-            "zero-copy frames must be byte-identical"
-        );
-        assert!(report.roundtrip_ok, "both decode paths must round-trip");
-        assert!(
-            report.encode_speedup() > 1.0,
-            "zero-copy encode must beat the legacy codec: {:#?}",
-            report
-        );
-        // With the counting allocator on, the claim is exact: the pooled
-        // pass performs zero allocations; the legacy pass at least one
-        // per frame.
-        if let (Some(legacy), Some(pooled)) = (
-            report.encode_legacy.allocs_per_frame,
-            report.encode_pooled.allocs_per_frame,
-        ) {
-            assert_eq!(
-                pooled, 0.0,
-                "steady-state zero-copy encode allocates nothing"
-            );
-            assert!(legacy >= 1.0, "legacy allocates per frame: {legacy}");
-        }
-        let text = report.render_text();
-        assert!(text.contains("codec A/B"));
-        assert!(text.contains("encode:"));
-    }
+    use crate::alloc_count::count_thread_allocations;
+    use bytes::Bytes;
+    use urb_types::{BufPool, Payload, Tag, WireMessage};
 
     #[test]
     fn mux_codec_is_allocation_free_in_steady_state_when_counted() {
@@ -510,7 +210,7 @@ mod tests {
         // with shared payloads into warm scratch allocates nothing per
         // frame or per message. MSG-only corpus — ACK label sets own
         // their storage and legitimately allocate.
-        use urb_types::{encode_mux_frame_into, MuxBatch, TopicId};
+        use urb_types::{encode_mux_frame_into, MuxBatch};
         let mut rng = SplitMix64::new(41);
         let entries: Vec<(TopicId, WireMessage)> = (0..3u32)
             .flat_map(|t| {
@@ -537,7 +237,7 @@ mod tests {
             MuxBatch::decode_shared_into(&frame, &mut scratch).unwrap();
             frame
         };
-        let (_, allocs) = count_allocations(|| {
+        let (_, allocs) = count_thread_allocations(|| {
             for _ in 0..64 {
                 let mut buf = pool.acquire();
                 encode_mux_frame_into(black_box(&entries), &mut buf);
@@ -643,7 +343,7 @@ mod tests {
                 .receive_mux_frame(&frame, &mut mux, |_, _| FdSnapshot::none())
                 .expect("well-formed frame");
         }
-        let (_, allocs) = count_allocations(|| {
+        let (_, allocs) = count_thread_allocations(|| {
             for _ in 0..32 {
                 mux.clear();
                 engine
@@ -657,18 +357,6 @@ mod tests {
                 allocs, 0,
                 "steady-state mux ingress at 100k topics must not allocate"
             );
-        }
-    }
-
-    #[test]
-    fn shared_decode_scratch_is_allocation_free_when_counted() {
-        let report = run(3, 3);
-        if let Some(shared) = report.decode_shared.allocs_per_frame {
-            // Label sets still allocate (they own their storage); payload
-            // bytes do not. The measured rate must therefore be far below
-            // one allocation *per message* (the legacy path's floor).
-            let per_message = shared * report.batches as f64 / report.messages as f64;
-            assert!(per_message < 1.0, "shared decode allocs/msg: {per_message}");
         }
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! * [`trajectory`] — reduced deterministic grids over E1–E17 emitting the
 //!   schema-versioned `BENCH_*.json` perf history (`urb bench --json`);
-//! * [`compare`] — the in-tree A/B harness replaying one seeded corpus
-//!   through the legacy and zero-copy codec paths;
+//! * [`compare`] — the in-tree topic-dispatch A/B harness (directory vs.
+//!   binary search) and the codec/ingress zero-allocation gates;
 //! * [`report`] — the shared JSON envelope every tool output wears;
 //! * [`alloc_count`] — allocations-per-operation probes (enable the
 //!   `count-allocs` feature to install the counting global allocator).

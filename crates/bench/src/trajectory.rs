@@ -92,7 +92,7 @@ pub struct ExperimentPoint {
     /// Protocol transmissions per 1000 simulated ticks — the
     /// wall-clock-free throughput figure.
     pub throughput_per_ktick: f64,
-    /// Batch-pool hit rate across the runs (routed sub-batches served
+    /// Sub-batch pool hit rate across the runs (routed sub-batches served
     /// without allocating — the pooled-buffer claim, per experiment).
     pub pool_hit_rate: f64,
     /// Heap allocations per run (`None` without `count-allocs`).

@@ -518,7 +518,6 @@ pub fn bench_cmd(args: BenchArgs) {
     let traj = trajectory::collect(&cfg);
     traj.summary_table().print();
     println!();
-    print!("{}", urb_bench::compare::run(args.seed, 5).render_text());
     print!(
         "{}",
         urb_bench::compare::run_dispatch(args.seed, 1 << 14, 3).render_text()

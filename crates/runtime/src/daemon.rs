@@ -28,8 +28,8 @@ use crossbeam_channel::{unbounded, RecvTimeoutError};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
-use urb_engine::{MuxBuffers, StepInput, TopicEngine};
-use urb_types::{BufPool, Payload, SplitMix64, TopicControl, TopicId};
+use urb_engine::{MuxBuffers, StepInput};
+use urb_types::{BufPool, Payload, TopicControl, TopicId};
 
 /// Configuration of one daemon node (the `urb node` subcommand's flags).
 #[derive(Clone, Debug)]
@@ -211,18 +211,13 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     let (ingress_tx, ingress_rx) = unbounded::<Bytes>();
     let mut mesh = TcpMesh::start(MeshConfig::new(listen, peers), ingress_tx.clone())?;
 
-    // Same engine construction as the threaded runtime's node thread:
-    // same per-node RNG stream derivation, so a daemon node and an
-    // in-process node with the same (seed, id) draw identical tags. The
-    // registry is local but seed-derived, so every process in the
-    // cluster serves identical all-alive FD views without coordination.
+    // Same engine construction as the threaded runtime's node thread
+    // (`node_engine`), so a daemon node and an in-process node with the
+    // same (seed, id) draw identical tags. The registry is local but
+    // seed-derived, so every process in the cluster serves identical
+    // all-alive FD views without coordination.
     let registry = MembershipRegistry::new(cfg.n, cfg.seed, Duration::from_millis(500));
-    let mut engine = TopicEngine::new(
-        (0..cfg.topics.max(1))
-            .map(|_| cfg.algorithm.instantiate(cfg.n))
-            .collect(),
-        SplitMix64::new(cfg.seed ^ 0xB07B_0B00 ^ (cfg.id as u64) << 32),
-    );
+    let mut engine = crate::node::node_engine(cfg.algorithm, cfg.n, cfg.topics, cfg.seed, cfg.id);
     let mut mux = MuxBuffers::new();
     let pool = BufPool::default();
     let mut control_scratch: Vec<TopicControl> = Vec::new();
@@ -418,13 +413,9 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
                 payloads: set.into_iter().collect(),
             })
             .collect(),
-        net: mesh_stats_of(&mesh),
+        // Final counters: read after shutdown, so nothing is in flight.
+        net: mesh.stats(),
     })
-}
-
-/// Reads the final counters (after shutdown, so nothing is in flight).
-fn mesh_stats_of(mesh: &TcpMesh) -> NetStats {
-    mesh.stats()
 }
 
 /// Runs the identical workload through the **in-process** threaded

@@ -78,6 +78,26 @@ pub(crate) fn apply_surfaced_controls(
     changed
 }
 
+/// Builds one node's engine: `topics` instances of `algorithm` (at least
+/// one) on the node's own RNG stream, derived from `(seed, pid)`. The
+/// threaded node and the socket daemon both build through here, so an
+/// in-process node and a daemon node with the same `(seed, pid)` draw
+/// identical tags — what the loopback-parity suite relies on.
+pub(crate) fn node_engine(
+    algorithm: Algorithm,
+    n: usize,
+    topics: u32,
+    seed: u64,
+    pid: usize,
+) -> TopicEngine {
+    TopicEngine::new(
+        (0..topics.max(1))
+            .map(|_| algorithm.instantiate(n))
+            .collect(),
+        SplitMix64::new(seed ^ 0xB07B_0B00 ^ (pid as u64) << 32),
+    )
+}
+
 /// Everything a node thread needs at spawn time.
 pub(crate) struct NodeSetup {
     pub pid: usize,
@@ -127,12 +147,7 @@ fn node_main(setup: NodeSetup) {
         registry,
         pool,
     } = setup;
-    let mut engine = TopicEngine::new(
-        (0..topics.max(1))
-            .map(|_| algorithm.instantiate(n))
-            .collect(),
-        SplitMix64::new(seed ^ 0xB07B_0B00 ^ (pid as u64) << 32),
-    );
+    let mut engine = node_engine(algorithm, n, topics, seed, pid);
     let mut mux = MuxBuffers::new();
     // Per-lane topic directory: precomputed `topic → lane` map plus
     // reusable per-lane egress partitions (DESIGN.md §16).

@@ -156,7 +156,7 @@ impl Channel {
     /// Decides the fate of one transmission of `msg`.
     pub fn transmit(&mut self, msg: &WireMessage) -> Verdict {
         self.sent += 1;
-        if self.decide_loss(msg) {
+        if self.decide_loss(|| msg.retransmit_key()) {
             self.dropped += 1;
             return Verdict::Drop;
         }
@@ -165,45 +165,17 @@ impl Channel {
         }
     }
 
-    /// Decides the fates of every message in one batch transmission:
-    /// `verdicts[i]` is `true` when `msgs[i]` survives this channel. Loss
-    /// is decided **per message** against each message's own
-    /// [`WireMessage::retransmit_key`], so the fairness bookkeeping (and
-    /// the `BoundedBernoulli` hard cap) are identical to sending the
-    /// messages one by one. Returns the single arrival delay shared by the
-    /// surviving sub-batch (`None` when nothing survived) — the batch
-    /// travels as one frame, so its members arrive together.
-    pub fn transmit_batch(
-        &mut self,
-        msgs: &[WireMessage],
-        verdicts: &mut Vec<bool>,
-    ) -> Option<u64> {
-        verdicts.clear();
-        let mut any = false;
-        for msg in msgs {
-            self.sent += 1;
-            let lost = self.decide_loss(msg);
-            if lost {
-                self.dropped += 1;
-            } else {
-                any = true;
-            }
-            verdicts.push(!lost);
-        }
-        if any {
-            Some(self.draw_delay())
-        } else {
-            None
-        }
-    }
-
-    /// [`Channel::transmit_batch`] over the **multiplexed topic plane**:
-    /// the entries of one mux frame, each member's fairness identity
-    /// being its own `retransmit_key` decorrelated per topic via
-    /// [`TopicId::mix`] (topic 0 mixes to the legacy key, so single-topic
-    /// runs draw the identical RNG stream). Loss stays per message; the
-    /// surviving frame shares one arrival delay, exactly as for a
-    /// single-instance batch.
+    /// Decides the fates of every entry of one mux frame transmission:
+    /// `verdicts[i]` is `true` when `entries[i]` survives this channel.
+    /// Loss is decided **per message**, each member's fairness identity
+    /// being its own [`WireMessage::retransmit_key`] decorrelated per
+    /// topic via [`TopicId::mix`] (topic 0 mixes to the bare key, so
+    /// single-topic runs draw the identical RNG stream). The fairness
+    /// bookkeeping (and the `BoundedBernoulli` hard cap) is therefore
+    /// identical to sending the messages one by one. Returns the single
+    /// arrival delay shared by the surviving sub-batch (`None` when
+    /// nothing survived) — the frame travels as one unit, so its members
+    /// arrive together.
     pub fn transmit_entries(
         &mut self,
         entries: &[(TopicId, WireMessage)],
@@ -213,7 +185,7 @@ impl Channel {
         let mut any = false;
         for (topic, msg) in entries {
             self.sent += 1;
-            let lost = self.decide_loss_keyed(msg, || topic.mix(msg.retransmit_key()));
+            let lost = self.decide_loss(|| topic.mix(msg.retransmit_key()));
             if lost {
                 self.dropped += 1;
             } else {
@@ -228,13 +200,9 @@ impl Channel {
         }
     }
 
-    fn decide_loss(&mut self, msg: &WireMessage) -> bool {
-        self.decide_loss_keyed(msg, || msg.retransmit_key())
-    }
-
     /// One loss decision; `key` supplies the fairness identity lazily (it
     /// is only evaluated — and only matters — under `BoundedBernoulli`).
-    fn decide_loss_keyed(&mut self, _msg: &WireMessage, key: impl FnOnce() -> u64) -> bool {
+    fn decide_loss(&mut self, key: impl FnOnce() -> u64) -> bool {
         match self.loss {
             LossModel::None => false,
             LossModel::Bernoulli { p } => self.rng.gen_bool(p),
@@ -457,12 +425,17 @@ mod tests {
         assert_eq!(delivered_b, 2);
     }
 
+    /// Topic-0 entries carrying `msgs`, in order.
+    fn entries(msgs: &[WireMessage]) -> Vec<(TopicId, WireMessage)> {
+        msgs.iter().map(|m| (TopicId::ZERO, m.clone())).collect()
+    }
+
     #[test]
-    fn transmit_batch_decides_per_message_and_shares_delay() {
+    fn transmit_entries_decides_per_message_and_shares_delay() {
         let mut c = channel(LossModel::Bernoulli { p: 0.5 });
         let msgs: Vec<WireMessage> = (0..64).map(msg).collect();
         let mut verdicts = Vec::new();
-        let delay = c.transmit_batch(&msgs, &mut verdicts);
+        let delay = c.transmit_entries(&entries(&msgs), &mut verdicts);
         assert_eq!(verdicts.len(), 64);
         let survived = verdicts.iter().filter(|&&v| v).count();
         assert!(
@@ -475,18 +448,18 @@ mod tests {
     }
 
     #[test]
-    fn transmit_batch_respects_bounded_fairness_per_message() {
+    fn transmit_entries_respects_bounded_fairness_per_message() {
         // Under p=1.0 with cap 2, each message is forced through on its own
-        // 3rd transmission even when always sent inside batches.
+        // 3rd transmission even when always sent inside frames.
         let mut c = channel(LossModel::BoundedBernoulli {
             p: 1.0,
             max_consecutive: 2,
         });
-        let msgs = vec![msg(1), msg(2)];
+        let frame = entries(&[msg(1), msg(2)]);
         let mut verdicts = Vec::new();
         let mut per_msg_deliveries = [0u32; 2];
         for _ in 0..6 {
-            let delay = c.transmit_batch(&msgs, &mut verdicts);
+            let delay = c.transmit_entries(&frame, &mut verdicts);
             for (i, &ok) in verdicts.iter().enumerate() {
                 if ok {
                     per_msg_deliveries[i] += 1;
@@ -502,12 +475,51 @@ mod tests {
     }
 
     #[test]
-    fn transmit_batch_total_loss_returns_no_delay() {
+    fn transmit_entries_total_loss_returns_no_delay() {
         let mut c = channel(LossModel::Always);
         let mut verdicts = Vec::new();
-        assert_eq!(c.transmit_batch(&[msg(1), msg(2)], &mut verdicts), None);
+        assert_eq!(
+            c.transmit_entries(&entries(&[msg(1), msg(2)]), &mut verdicts),
+            None
+        );
         assert_eq!(verdicts, vec![false, false]);
         assert_eq!(c.dropped(), 2);
+    }
+
+    #[test]
+    fn transmit_entries_keeps_fairness_counters_per_topic() {
+        // Under p=1.0 with cap 2, every copy is dropped until its own
+        // run counter forces it through.
+        let mut c = channel(LossModel::BoundedBernoulli {
+            p: 1.0,
+            max_consecutive: 2,
+        });
+        let m = msg(1);
+        let mut verdicts = Vec::new();
+        // Two bare sends exhaust the run under the bare retransmit_key...
+        assert_eq!(c.transmit(&m), Verdict::Drop);
+        assert_eq!(c.transmit(&m), Verdict::Drop);
+        // ...and topic 0's key *is* the bare key, so its next send is the
+        // forced third transmission of that same run.
+        c.transmit_entries(&[(TopicId::ZERO, m.clone())], &mut verdicts);
+        assert_eq!(verdicts, vec![true], "topic 0 shares the bare key's run");
+        // The same message on topic 1 keeps its own, fresh counter: two
+        // drops, then forced through. Topic 0, sent alongside, restarts
+        // its run in lockstep.
+        let both = [(TopicId::ZERO, m.clone()), (TopicId(1), m.clone())];
+        c.transmit_entries(&both, &mut verdicts);
+        assert_eq!(verdicts, vec![false, false]);
+        c.transmit_entries(&both, &mut verdicts);
+        assert_eq!(verdicts, vec![false, false]);
+        c.transmit_entries(&both, &mut verdicts);
+        assert_eq!(verdicts, vec![true, true]);
+        // Desynchronize: topic 1 alone for two drops; topic 0's counter
+        // (reset by its forced delivery) is untouched by topic 1's sends.
+        c.transmit_entries(&[(TopicId(1), m.clone())], &mut verdicts);
+        c.transmit_entries(&[(TopicId(1), m.clone())], &mut verdicts);
+        assert_eq!(verdicts, vec![false]);
+        c.transmit_entries(&both, &mut verdicts);
+        assert_eq!(verdicts, vec![false, true], "independent run counters");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use urb_types::{
-    Batch, CodecError, Label, LabelSet, MuxBatch, Payload, Tag, TagAck, TopicId, WireMessage,
+    CodecError, Label, LabelSet, MuxBatch, Payload, Tag, TagAck, TopicId, WireMessage,
 };
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
@@ -92,27 +92,6 @@ proptest! {
         }
     }
 
-    /// Batch frames round-trip bit-exactly for any member set (including
-    /// empty), report their encoded length correctly, and preserve every
-    /// member's retransmission identity in order.
-    #[test]
-    fn batch_roundtrip_any_members(msgs in proptest::collection::vec(arb_message(), 0..24)) {
-        let batch: Batch = msgs.iter().cloned().collect();
-        let enc = batch.encode();
-        prop_assert_eq!(enc.len(), batch.encoded_len());
-        let back = Batch::decode(&enc).unwrap();
-        prop_assert_eq!(back.messages(), &msgs[..]);
-        let keys: Vec<u64> = back.retransmit_keys().collect();
-        let direct: Vec<u64> = msgs.iter().map(|m| m.retransmit_key()).collect();
-        prop_assert_eq!(keys, direct);
-    }
-
-    /// Decoding arbitrary bytes as a batch never panics.
-    #[test]
-    fn batch_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = Batch::decode(&bytes); // must not panic
-    }
-
     /// Multiplexed frames round-trip bit-exactly for any topic-grouped
     /// entry set: structured and flat decode paths agree, the encoded
     /// length is reported correctly, and the ascending topic grouping
@@ -162,26 +141,6 @@ proptest! {
         let enc = mux.encode();
         let cut = ((enc.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(MuxBatch::decode(&enc[..cut]).is_err());
-    }
-
-    /// Every strict prefix of a valid batch frame is rejected (with
-    /// `Truncated`, or `BadDiscriminant` for the zero-length prefix path
-    /// that exposes a member's first byte — never accepted).
-    #[test]
-    fn batch_prefixes_are_rejected(msgs in proptest::collection::vec(arb_message(), 1..8), cut_frac in 0.0f64..1.0) {
-        let batch: Batch = msgs.into_iter().collect();
-        let enc = batch.encode();
-        let cut = ((enc.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert!(Batch::decode(&enc[..cut]).is_err());
-    }
-
-    /// A batch frame with trailing garbage is rejected.
-    #[test]
-    fn batch_trailing_garbage_rejected(msgs in proptest::collection::vec(arb_message(), 0..8), junk in proptest::collection::vec(any::<u8>(), 1..16)) {
-        let batch: Batch = msgs.into_iter().collect();
-        let mut enc = batch.encode().to_vec();
-        enc.extend_from_slice(&junk);
-        prop_assert!(Batch::decode(&enc).is_err());
     }
 
     /// The retransmission key is stable across label-set evolution for
