@@ -944,22 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_a_fixed_seed() {
-        let a = collect(&tiny());
-        let b = collect(&tiny());
-        assert_eq!(a, b);
-        std::env::set_var("URB_GIT_REV", "test-rev-0001");
-        assert_eq!(a.to_json(), b.to_json(), "byte-identical files");
-        std::env::remove_var("URB_GIT_REV");
-        let mut other = tiny();
-        other.seed = 6;
-        assert_ne!(
-            collect(&other).points[0].trace_fingerprint,
-            a.points[0].trace_fingerprint
-        );
-    }
-
-    #[test]
     fn serial_and_parallel_collectors_agree() {
         let cfg = tiny();
         let serial = collect_with(&cfg, ExecMode::Serial);

@@ -454,6 +454,33 @@ fn node_unmet_expectation_is_exit_one() {
 }
 
 #[test]
+fn node_expectation_met_is_complete_even_when_the_deadline_cuts_the_linger() {
+    // The node meets --expect at once, then lingers; the run budget ends
+    // inside the linger. Meeting the expectation is what makes the run
+    // complete — the linger only delays the exit.
+    let out = run(&[
+        "node",
+        "--id",
+        "0",
+        "--addrs",
+        "127.0.0.1:0",
+        "--msgs",
+        "2",
+        "--expect",
+        "2",
+        "--run-ms",
+        "500",
+        "--linger-ms",
+        "3000",
+        "--json",
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let v: serde_json::Value = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(v["data"]["complete"], true);
+    assert_eq!(v["data"]["per_topic"][0]["deliveries"], 2u64);
+}
+
+#[test]
 fn node_corrupt_state_dir_is_exit_two() {
     // A snapshot that fails its envelope checks must refuse to start —
     // unusable input, never a silent fresh start over salvageable state.

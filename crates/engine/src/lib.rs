@@ -1205,8 +1205,8 @@ impl std::fmt::Debug for TopicEngine {
 pub enum MuxIngressError {
     /// The frame bytes were malformed.
     Codec(CodecError),
-    /// The frame addressed a topic this engine does not serve (a routing
-    /// bug — lanes are supposed to shard by topic).
+    /// The frame addressed a topic this engine does not serve (a create
+    /// that has not arrived yet, or a routing bug).
     UnknownTopic(TopicId),
 }
 

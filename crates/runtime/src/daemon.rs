@@ -2,11 +2,13 @@
 //! socket-distributed URB cluster (DESIGN.md §13).
 //!
 //! A daemon node is the [`crate::transport::TcpMesh`] socket plane
-//! composed with the **same sans-io engine** every other driver uses
-//! ([`urb_engine::TopicEngine`]): the node loop here is the threaded
-//! runtime's node loop with the in-process router lanes swapped for real
-//! sockets — protocol logic, codec and tick cadence are untouched, which
-//! is exactly what the `drive_step` boundary was built to allow. The
+//! driving the **same node step core** the threaded runtime's node
+//! thread drives (`NodeCore` in `node.rs`): broadcast, receive, tick and
+//! the frame it seals are one piece of code; only the I/O differs — real
+//! sockets here, the in-process router there. What this driver adds is
+//! its own policy: a config workload instead of RPC commands, durable
+//! state, the `--expect`/linger exit rule, and dropping a frame it
+//! cannot decode as a lost message instead of panicking. The
 //! loopback-parity suite (`crates/cli/tests/cluster.rs`) asserts the
 //! payoff mechanically: the same seeded workload produces identical
 //! per-topic delivery sets through [`crate::UrbCluster`] (threads +
@@ -20,15 +22,16 @@
 //! resulting per-topic delivery **sets**. Those sets are the unit the
 //! parity and fault-injection suites assert on.
 
+use crate::node::NodeCore;
 use crate::state::StateDir;
 use crate::transport::{MeshConfig, NetError, NetStats, TcpMesh};
 use crate::MembershipRegistry;
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, RecvTimeoutError};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urb_core::Algorithm;
-use urb_engine::{MuxBuffers, StepInput};
 use urb_types::{BufPool, Payload, TopicControl, TopicId};
 
 /// Configuration of one daemon node (the `urb node` subcommand's flags).
@@ -60,9 +63,11 @@ pub struct NodeConfig {
     /// How long to keep serving after meeting [`NodeConfig::expect`]
     /// (retransmissions for straggling peers).
     pub linger: Duration,
-    /// Expected deliveries per topic; when set, the node exits complete
-    /// once every topic reached it (plus linger), and incomplete at the
-    /// deadline otherwise. `None` = run the full budget, always complete.
+    /// Expected deliveries per topic; when set, the node is complete once
+    /// every topic reached it and exits after the linger (or at the
+    /// deadline, whichever comes first), and is incomplete if the
+    /// deadline passes first. `None` = run the full budget, always
+    /// complete.
     pub expect: Option<usize>,
     /// Durable state directory (DESIGN.md §14). When set, every delivery
     /// is journaled, snapshots land periodically and at exit, and a
@@ -205,22 +210,24 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         .collect();
 
     // Ingress funnel: socket readers and the node's own loopback copy
-    // share one FIFO, the same `NodeInput::Net` shape the in-process
-    // router feeds (commands don't exist here — a daemon's workload is
+    // share one FIFO (commands don't exist here — a daemon's workload is
     // config, not RPC).
     let (ingress_tx, ingress_rx) = unbounded::<Bytes>();
     let mut mesh = TcpMesh::start(MeshConfig::new(listen, peers), ingress_tx.clone())?;
 
-    // Same engine construction as the threaded runtime's node thread
-    // (`node_engine`), so a daemon node and an in-process node with the
-    // same (seed, id) draw identical tags. The registry is local but
-    // seed-derived, so every process in the cluster serves identical
-    // all-alive FD views without coordination.
+    // The registry is local but seed-derived, so every process in the
+    // cluster serves identical all-alive FD views without coordination.
     let registry = MembershipRegistry::new(cfg.n, cfg.seed, Duration::from_millis(500));
-    let mut engine = crate::node::node_engine(cfg.algorithm, cfg.n, cfg.topics, cfg.seed, cfg.id);
-    let mut mux = MuxBuffers::new();
+    let mut core = NodeCore::new(
+        cfg.algorithm,
+        cfg.n,
+        cfg.topics,
+        cfg.seed,
+        cfg.id,
+        Arc::new(registry),
+        cfg.tick_interval,
+    );
     let pool = BufPool::default();
-    let mut control_scratch: Vec<TopicControl> = Vec::new();
     let mut delivered: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cfg.topics.max(1) as usize];
 
     // Durable state (DESIGN.md §14): recover before the first broadcast.
@@ -235,8 +242,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         Some(dir) => {
             let (state, recovered) = StateDir::open(dir).map_err(state_err)?;
             if let Some(blob) = &recovered.engine {
-                engine
-                    .restore_snapshot(blob)
+                core.restore_snapshot(blob)
                     .map_err(|e| NetError::State(format!("snapshot.bin does not restore: {e}")))?;
             }
             for (t, set) in recovered.delivered.into_iter().enumerate() {
@@ -255,11 +261,11 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // created topics (DESIGN.md §15) deliver under ids beyond the dense
     // configured range.
     fn record_deliveries(
-        mux: &mut MuxBuffers,
+        core: &mut NodeCore,
         delivered: &mut Vec<BTreeSet<String>>,
         state: &mut Option<StateDir>,
     ) -> Result<(), NetError> {
-        for (t, d) in mux.deliveries.drain(..) {
+        for (t, d) in core.deliveries() {
             let text = d.payload.as_text();
             if delivered.len() <= t.0 as usize {
                 delivered.resize(t.0 as usize + 1, BTreeSet::new());
@@ -274,13 +280,11 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
         Ok(())
     }
 
-    // Flush one step's mux outbox: peers get the frame over sockets,
-    // the node itself gets it through its own ingress FIFO — the
-    // never-lost self-copy of the broadcast primitive, without a socket.
-    let flush = |mux: &mut MuxBuffers, mesh: &TcpMesh| {
-        if let Some(scratch) = mux.take_mux_frame(&pool) {
-            let frame = Bytes::copy_from_slice(&scratch);
-            drop(scratch); // encode buffer back to the pool
+    // Flush one step's frame: peers get it over sockets, the node itself
+    // gets it through its own ingress FIFO — the never-lost self-copy of
+    // the broadcast primitive, without a socket.
+    let flush = |core: &mut NodeCore, mesh: &TcpMesh| {
+        if let Some(frame) = core.take_frame(&pool) {
             mesh.broadcast(&frame);
             let _ = ingress_tx.send(frame);
         }
@@ -300,91 +304,55 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
             if delivered[topic as usize].contains(&payload.as_text()) {
                 continue;
             }
-            mux.clear();
-            let snapshot = registry.snapshot(cfg.id, Instant::now());
-            engine.step_mux(
-                TopicId(topic),
-                StepInput::Broadcast(payload),
-                &snapshot,
-                &mut mux,
-            );
-            record_deliveries(&mut mux, &mut delivered, &mut state)?;
-            flush(&mut mux, &mesh);
+            core.broadcast(TopicId(topic), payload);
+            record_deliveries(&mut core, &mut delivered, &mut state)?;
+            flush(&mut core, &mesh);
         }
     }
 
     let deadline = Instant::now() + cfg.run_for;
-    let mut next_tick = Instant::now() + cfg.tick_interval;
     let mut next_snapshot = Instant::now() + cfg.snapshot_interval;
-    // Set once every topic meets the expectation; the node keeps
-    // serving (acks, retransmissions) until it passes.
-    let mut linger_until: Option<Instant> = None;
+    // Meeting the expectation makes the run complete; the linger that
+    // follows only keeps the node serving (acks, retransmissions for
+    // straggling peers) before it exits, and the deadline may cut it.
     let mut complete = cfg.expect.is_none();
+    let mut linger_until: Option<Instant> = None;
 
     loop {
         let now = Instant::now();
-        if now >= deadline {
+        if now >= deadline || linger_until.is_some_and(|t| now >= t) {
             break;
         }
-        if let Some(t) = linger_until {
-            if now >= t {
-                complete = true;
-                break;
-            }
-        }
-        mux.clear();
-        let timeout = next_tick
-            .min(deadline)
-            .saturating_duration_since(now)
+        let timeout = core
+            .until_tick()
+            .min(deadline.saturating_duration_since(now))
             .min(Duration::from_millis(50));
         match ingress_rx.recv_timeout(timeout) {
             Ok(frame) => {
-                let registry = &registry;
-                let id = cfg.id;
-                if engine
-                    .receive_mux_frame(&frame, &mut mux, |_, _| {
-                        registry.snapshot(id, Instant::now())
-                    })
-                    .is_err()
-                {
-                    // A peer sent a frame our codec rejects: drop it like
-                    // a lost message (never panic on network input).
-                    continue;
-                }
-                // Lifecycle gossip (DESIGN.md §15): apply what the
-                // frame's control section carried — peer gossip or a
-                // one-shot `urb topic` client — and push back exactly
-                // what changed state, which the flush below forwards.
-                crate::node::apply_surfaced_controls(
-                    &mut engine,
-                    cfg.n,
-                    &mut mux,
-                    &mut control_scratch,
-                );
+                // A frame our codec rejects, or one naming a topic this
+                // node does not know, is dropped like a lost message:
+                // never panic on network input. Controls it carried —
+                // peer gossip or a one-shot `urb topic` client — are
+                // applied by the core and forwarded by the flush below.
+                let _ = core.receive(&frame);
             }
             Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= next_tick {
-                    let snapshot = registry.snapshot(cfg.id, Instant::now());
-                    engine.tick_all(&snapshot, &mut mux);
-                    // Ticks are the reap points (the quiescence rule):
-                    // draining instances free their state here.
-                    engine.reap_drained(&snapshot);
-                    next_tick = Instant::now() + cfg.tick_interval;
-                }
+                core.tick_if_due();
             }
             Err(RecvTimeoutError::Disconnected) => break, // cannot happen: we hold a sender
         }
-        record_deliveries(&mut mux, &mut delivered, &mut state)?;
-        flush(&mut mux, &mesh);
+        record_deliveries(&mut core, &mut delivered, &mut state)?;
+        flush(&mut core, &mesh);
         if let Some(s) = state.as_mut() {
             if Instant::now() >= next_snapshot {
-                let blob = engine.save_snapshot().map_err(state_err_snapshot)?;
+                let blob = core.engine().save_snapshot().map_err(state_err_snapshot)?;
                 s.write_snapshot(&blob, &delivered).map_err(state_err)?;
                 next_snapshot = Instant::now() + cfg.snapshot_interval;
             }
         }
         if let Some(expect) = cfg.expect {
-            if linger_until.is_none() && delivered.iter().all(|set| set.len() >= expect) {
+            if !complete && delivered.iter().all(|set| set.len() >= expect) {
+                complete = true;
                 linger_until = Some(Instant::now() + cfg.linger);
             }
         }
@@ -393,13 +361,13 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, NetError> {
     // Final recovery point so a clean exit restarts exactly where it
     // stopped (no journal replay needed).
     if let Some(s) = state.as_mut() {
-        let blob = engine.save_snapshot().map_err(state_err_snapshot)?;
+        let blob = core.engine().save_snapshot().map_err(state_err_snapshot)?;
         s.write_snapshot(&blob, &delivered).map_err(state_err)?;
     }
 
     mesh.shutdown();
-    let topics_live = engine.live_topics().count();
-    let topics_reclaimed = engine.counters().topics_reclaimed;
+    let topics_live = core.engine().live_topics().count();
+    let topics_reclaimed = core.engine().counters().topics_reclaimed;
     Ok(NodeReport {
         id: cfg.id,
         complete,

@@ -1,10 +1,9 @@
 //! # `urb-runtime`
 //!
 //! A real concurrent deployment of the paper's protocols: one OS thread per
-//! anonymous process, an in-process router — sharded into one or more
-//! **lanes** with topics distributed `topic % lanes` (DESIGN.md §12) —
-//! that implements the lossy broadcast medium over the multiplexed
-//! message plane, explicit crash injection, and a registry-backed failure
+//! anonymous process, one in-process router thread that implements the
+//! lossy broadcast medium over the multiplexed message plane (DESIGN.md
+//! §12), explicit crash injection, and a registry-backed failure
 //! detector. Every protocol step runs through the shared `urb-engine`
 //! layer — the *same* code path the discrete-event simulator executes —
 //! so the runtime deploys byte-for-byte the state machines the simulator
@@ -33,7 +32,6 @@
 #![deny(missing_docs)]
 
 pub mod daemon;
-pub mod lanes;
 mod node;
 mod registry;
 mod router;
@@ -44,7 +42,6 @@ pub use daemon::{
     expected_payloads, run_node, run_reference, send_control, workload_payload, NodeConfig,
     NodeReport, TopicDeliveries,
 };
-pub use lanes::LaneDirectory;
 pub use registry::MembershipRegistry;
 pub use router::TrafficStats;
 pub use state::{RecoveredState, StateDir, StateError};
@@ -83,10 +80,6 @@ pub struct ClusterConfig {
     /// Number of concurrent URB instances (topics) every node serves
     /// (DESIGN.md §12). Defaults to 1.
     pub topics: u32,
-    /// Number of router lanes the topics are sharded across
-    /// (`lane = topic % router_lanes`); each lane is its own thread.
-    /// Defaults to 1, the pre-topic single-router design.
-    pub router_lanes: usize,
 }
 
 impl ClusterConfig {
@@ -100,19 +93,12 @@ impl ClusterConfig {
             detection_delay: Duration::from_millis(200),
             seed: 0x5EED,
             topics: 1,
-            router_lanes: 1,
         }
     }
 
     /// Sets the number of topics per node.
     pub fn topics(mut self, topics: u32) -> Self {
         self.topics = topics.max(1);
-        self
-    }
-
-    /// Sets the number of router lanes.
-    pub fn router_lanes(mut self, lanes: usize) -> Self {
-        self.router_lanes = lanes.max(1);
         self
     }
 
@@ -149,7 +135,7 @@ pub(crate) enum Command {
 /// node loop blocks on a single receive with a tick deadline (network
 /// frames from the router, commands from the cluster handle).
 pub(crate) enum NodeInput {
-    /// A surviving sub-batch from a router lane, as an encoded
+    /// A surviving sub-batch from the router, as an encoded
     /// multiplexed wire frame (decoded by the node with shared payloads —
     /// DESIGN.md §10/§12).
     Net(bytes::Bytes),
@@ -192,12 +178,10 @@ impl UrbCluster {
         ));
         let traffic = Arc::new(router::TrafficCounters::default());
 
-        // Wiring: nodes → router lanes (ingress, encoded mux frames;
-        // lane = topic % lanes), lanes → nodes (the same funnelled input
-        // channel the cluster handle commands through). One frame-buffer
-        // pool serves every thread.
+        // Wiring: nodes → router (ingress, encoded mux frames), router →
+        // nodes (the same funnelled input channel the cluster handle
+        // commands through). One frame-buffer pool serves every thread.
         let pool = urb_types::BufPool::default();
-        let lanes = config.router_lanes.max(1);
         let mut input_txs = Vec::with_capacity(n);
         let mut input_rxs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -206,21 +190,16 @@ impl UrbCluster {
             input_rxs.push(rx);
         }
 
-        let mut threads = Vec::with_capacity(n + lanes);
-        let mut ingress_txs = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let (ingress_tx, ingress_rx) = unbounded::<(usize, bytes::Bytes)>();
-            ingress_txs.push(ingress_tx);
-            threads.push(router::spawn_router_lane(
-                lane,
-                ingress_rx,
-                input_txs.clone(),
-                config.loss,
-                config.seed,
-                Arc::clone(&traffic),
-                pool.clone(),
-            ));
-        }
+        let (ingress_tx, ingress_rx) = unbounded::<(usize, bytes::Bytes)>();
+        let mut threads = Vec::with_capacity(n + 1);
+        threads.push(router::spawn_router(
+            ingress_rx,
+            input_txs.clone(),
+            config.loss,
+            config.seed,
+            Arc::clone(&traffic),
+            pool.clone(),
+        ));
 
         let mut delivery_rxs = Vec::with_capacity(n);
         let mut stop_flags = Vec::with_capacity(n);
@@ -230,21 +209,24 @@ impl UrbCluster {
             let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
             stop_flags.push(Arc::clone(&stop));
             threads.push(node::spawn_node(node::NodeSetup {
+                core: node::NodeCore::new(
+                    config.algorithm,
+                    n,
+                    config.topics,
+                    config.seed,
+                    pid,
+                    Arc::clone(&registry),
+                    config.tick_interval,
+                ),
                 pid,
-                algorithm: config.algorithm,
-                n,
-                topics: config.topics,
-                seed: config.seed,
-                tick_interval: config.tick_interval,
                 inputs,
                 stop,
-                egress: ingress_txs.clone(),
+                egress: ingress_tx.clone(),
                 deliveries: del_tx,
-                registry: Arc::clone(&registry),
                 pool: pool.clone(),
             }));
         }
-        drop(ingress_txs); // each lane exits when every node sender is gone
+        drop(ingress_tx); // the router exits when every node sender is gone
 
         UrbCluster {
             delivery_log: Mutex::new(vec![Vec::new(); n]),
@@ -512,15 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_topic_cluster_shards_lanes_and_subscriptions() {
-        // 3 topics over 2 router lanes: each topic's broadcast reaches
+    fn multi_topic_cluster_keeps_topics_and_subscriptions_apart() {
+        // 3 topics over one router: each topic's broadcast reaches
         // everyone, the per-topic logs stay disjoint, and a subscription
         // sees exactly its own topic's deliveries.
-        let cluster = UrbCluster::spawn(
-            ClusterConfig::new(3, Algorithm::Majority)
-                .topics(3)
-                .router_lanes(2),
-        );
+        let cluster = UrbCluster::spawn(ClusterConfig::new(3, Algorithm::Majority).topics(3));
         let feed = cluster.subscribe(TopicId(2));
         let mut tags = Vec::new();
         for t in 0..3u32 {

@@ -1,26 +1,19 @@
-//! The lossy broadcast medium of the threaded runtime — the sharded wire
-//! plane of the topic system (DESIGN.md §12).
+//! The lossy broadcast medium of the threaded runtime (DESIGN.md §12).
 //!
-//! One or more **router lanes** (threads) fan every node's outgoing
-//! **encoded multiplexed frame** out to all `n` inboxes (sender included
-//! — the paper's `broadcast` primitive). Topics are sharded across lanes
-//! (`lane = topic % lanes`): each node partitions its step's topic-tagged
-//! outbox by lane and sends one [`urb_types::MuxBatch`] frame per lane
-//! that has traffic, so independent topics ride independent router
-//! threads and the routing plane scales with cores, not with topic
-//! count. A single-lane single-topic cluster degenerates to the previous
-//! one-router design.
+//! One **router** thread fans every node's outgoing **encoded
+//! multiplexed frame** out to all `n` inboxes (sender included — the
+//! paper's `broadcast` primitive). A node's step leaves as one
+//! [`urb_types::MuxBatch`] frame carrying every topic it touched, so the
+//! routing cost scales with protocol steps, not with topic count.
 //!
 //! Nodes and router exchange real wire bytes, not in-memory structs: a
-//! node encodes its step's mux outbox through the zero-copy codec
-//! (`MuxBuffers::take_mux_frame` on single-lane clusters, its per-lane
-//! `encode_mux_frame_into` partition twin otherwise) and decodes
-//! incoming frames with shared payloads
-//! (`TopicEngine::receive_mux_frame`), so the runtime exercises the
-//! exact serialization boundary a networked deployment would.
+//! node encodes its step's mux outbox through the zero-copy codec and
+//! decodes incoming frames with shared payloads (the node step core in
+//! `node.rs`), so the runtime exercises the exact serialization boundary
+//! a networked deployment would.
 //!
 //! Loss is applied **per message copy**, exactly as in the unbatched
-//! design: each lane decodes its ingress frame once (zero-copy — the
+//! design: the router decodes each ingress frame once (zero-copy — the
 //! decoded payloads are refcounted views of the frame), drops each
 //! message independently per destination, and forwards
 //!
@@ -30,8 +23,7 @@
 //!   per-message allocation) when loss thinned the batch.
 //!
 //! Traffic counters count *messages*, not frames, so quiescence
-//! observation and statistics are unchanged by batching, multiplexing or
-//! sharding — every lane writes the same shared counters.
+//! observation and statistics are unchanged by batching or multiplexing.
 
 use crate::NodeInput;
 use bytes::Bytes;
@@ -45,15 +37,14 @@ use urb_types::{
     Xoshiro256,
 };
 
-/// Aggregate router statistics (summed across every lane).
+/// Aggregate router statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// MSG + ACK messages routed (broadcast invocations, not copies).
     pub protocol_messages: u64,
     /// Heartbeats routed.
     pub heartbeats: u64,
-    /// Multiplexed frames routed (one per producing protocol step and
-    /// lane with traffic).
+    /// Multiplexed frames routed (one per producing protocol step).
     pub batches: u64,
     /// Message copies dropped by loss injection.
     pub dropped_copies: u64,
@@ -67,7 +58,7 @@ pub struct TrafficStats {
     pub reencoded_frames: u64,
 }
 
-/// Shared counters written by every router lane.
+/// Counters written by the router and read by the cluster handle.
 #[derive(Default)]
 pub struct TrafficCounters {
     protocol_messages: AtomicU64,
@@ -95,19 +86,16 @@ impl TrafficCounters {
         }
     }
 
-    /// When the last protocol message crossed any lane.
+    /// When the last protocol message crossed the router.
     pub fn last_protocol_activity(&self) -> Option<Instant> {
         *self.last_protocol.lock()
     }
 }
 
-/// Spawns one router lane thread. It exits when every node-side sender
-/// for this lane is gone. Frame buffers for thinned sub-batches come
-/// from `pool` (shared with the nodes), so the lane allocates nothing
-/// per message. `lane` seeds the lane's own loss RNG stream, so
-/// different lanes drop independently.
-pub fn spawn_router_lane(
-    lane: usize,
+/// Spawns the router thread. It exits when every node-side sender is
+/// gone. Frame buffers for thinned sub-batches come from `pool` (shared
+/// with the nodes), so the router allocates nothing per message.
+pub fn spawn_router(
     ingress: Receiver<(usize, Bytes)>,
     inboxes: Vec<Sender<NodeInput>>,
     loss: f64,
@@ -116,9 +104,9 @@ pub fn spawn_router_lane(
     pool: BufPool,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("urb-router-{lane}"))
+        .name("urb-router".into())
         .spawn(move || {
-            let mut rng = Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001 ^ (lane as u64) << 40);
+            let mut rng = Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001);
             // Reusable scratch: the decoded ingress entries and the
             // per-destination survivor list.
             let mut decoded: Vec<(TopicId, WireMessage)> = Vec::new();
@@ -184,7 +172,7 @@ pub fn spawn_router_lane(
                 }
             }
         })
-        .expect("spawn router lane thread")
+        .expect("spawn router thread")
 }
 
 #[cfg(test)]
@@ -229,8 +217,7 @@ mod tests {
             inbox_rx.push(r);
         }
         let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
+        let h = spawn_router(
             rx,
             inbox_tx,
             0.0,
@@ -268,8 +255,7 @@ mod tests {
             inbox_rx.push(r);
         }
         let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
+        let h = spawn_router(
             rx,
             inbox_tx,
             1.0,
@@ -296,8 +282,7 @@ mod tests {
         let (self_tx, self_rx) = unbounded();
         let counters = Arc::new(TrafficCounters::default());
         let pool = BufPool::default();
-        let h = spawn_router_lane(
-            0,
+        let h = spawn_router(
             rx,
             vec![self_tx, peer_tx],
             0.5,
@@ -325,8 +310,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let (t, _r) = unbounded();
         let counters = Arc::new(TrafficCounters::default());
-        let h = spawn_router_lane(
-            0,
+        let h = spawn_router(
             rx,
             vec![t],
             0.0,

@@ -1,9 +1,9 @@
 //! Real-socket transport for the runtime (DESIGN.md §13).
 //!
-//! The threaded runtime's router lanes move encoded
-//! [`urb_types::MuxBatch`] frames between nodes over in-process channels;
-//! this module moves the **same frames** over TCP instead, behind the
-//! same `NodeInput::Net(Bytes)` boundary, so nothing above the transport
+//! The threaded runtime's router moves encoded [`urb_types::MuxBatch`]
+//! frames between nodes over in-process channels; this module moves the
+//! **same frames** over TCP instead, into the same node step core the
+//! in-process node thread drives, so nothing above the transport
 //! — engine, protocols, codec — changes when the cluster becomes N OS
 //! processes on real sockets.
 //!

@@ -7,9 +7,9 @@
 //!   traces. Regenerate after an intentional change with
 //!   `UPDATE_GOLDEN=1 cargo test --test topic_plane`;
 //! * **cross-backend parity** — the same multi-topic workload executed
-//!   by the discrete-event simulator and by the threaded runtime (with
-//!   sharded router lanes) delivers identical per-topic payload sets at
-//!   every process: both backends drive the same `TopicEngine` code;
+//!   by the discrete-event simulator and by the threaded runtime delivers
+//!   identical per-topic payload sets at every process: both backends
+//!   drive the same `TopicEngine` code;
 //! * **per-topic verdicts** — a multi-topic sim run reports one URB
 //!   verdict per instance, and a violation on one topic does not leak
 //!   into another's verdict.
@@ -198,12 +198,8 @@ fn sim_and_runtime_agree_on_a_multi_topic_run() {
     let sim_out = urb_sim::run(cfg);
     assert!(sim_out.all_topics_ok(), "{:?}", sim_out.report.violations());
 
-    // Runtime side: 2 topics sharded over 2 router lanes.
-    let cluster = UrbCluster::spawn(
-        ClusterConfig::new(n, Algorithm::Majority)
-            .topics(2)
-            .router_lanes(2),
-    );
+    // Runtime side: the same 2 topics over the in-process router.
+    let cluster = UrbCluster::spawn(ClusterConfig::new(n, Algorithm::Majority).topics(2));
     let mut tags = Vec::new();
     for (i, &(topic, text)) in payloads.iter().enumerate() {
         let tag = cluster
