@@ -22,6 +22,7 @@
 //! produces bit-identical tables to the old serial loops.
 
 use crate::executor::{run_grid, run_seeds};
+use crate::stats::percentile;
 use crate::table::{f3, pct, Table};
 use urb_core::Algorithm;
 use urb_fd::{HeartbeatConfig, OracleConfig};
@@ -72,13 +73,6 @@ pub const ALL_IDS: [&str; 23] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
 ];
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
-}
 
 // ---------------------------------------------------------------- E1 ----
 
@@ -1516,14 +1510,5 @@ mod tests {
         let rendered = tables[0].render();
         assert!(rendered.contains("E2"));
         assert!(!tables[0].is_empty());
-    }
-
-    #[test]
-    fn percentile_picks_nearest_rank() {
-        let v = [10u64, 20, 30, 40, 50];
-        assert_eq!(percentile(&v, 0.0), 10);
-        assert_eq!(percentile(&v, 0.5), 30);
-        assert_eq!(percentile(&v, 0.99), 50);
-        assert_eq!(percentile(&[], 0.5), 0);
     }
 }

@@ -68,9 +68,27 @@ impl Summary {
     }
 }
 
+/// Nearest-rank percentile (`p` in `0.0..=1.0`) of an ascending-sorted
+/// integer sample; 0 for an empty one. The rank rule is [`Summary`]'s.
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_picks_nearest_rank() {
+        let v = [10u64, 20, 30, 40, 50];
+        assert_eq!(percentile(&v, 0.0), 10);
+        assert_eq!(percentile(&v, 0.5), 30);
+        assert_eq!(percentile(&v, 0.99), 50);
+        assert_eq!(percentile(&[], 0.5), 0);
+    }
 
     #[test]
     fn empty_sample() {

@@ -17,6 +17,7 @@
 
 use crate::alloc_count::count_allocations;
 use crate::report;
+use crate::stats::percentile;
 use crate::table::{f3, Table};
 use std::fmt::Write as _;
 use urb_core::Algorithm;
@@ -222,13 +223,6 @@ fn open_loop_point(id: &str, cfg: &TrajectoryConfig) -> ExperimentPoint {
         allocs_per_run: allocs.map(|a| a as f64 / runs.max(1) as f64),
         trace_fingerprint: fingerprint,
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
 }
 
 fn aggregate(
@@ -1018,6 +1012,27 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.mismatches[0].field, "transmissions");
         assert!(report.render().contains("transmissions diverged"));
+    }
+
+    #[test]
+    fn diff_flags_fingerprints_one_apart_above_2_pow_53() {
+        // 2^60 and 2^60 + 1 are the same f64; the gate compares them as
+        // the integers they are.
+        let a = collect(&tiny()).to_json();
+        let with_fingerprint = |fp: u64| {
+            let needle = "\"trace_fingerprint\": ";
+            let start = a.find(needle).unwrap() + needle.len();
+            let end = a[start..].find(|c: char| !c.is_ascii_digit()).unwrap() + start;
+            format!("{}{fp}{}", &a[..start], &a[end..])
+        };
+        let fp = 1u64 << 60;
+        let report = diff_json(&with_fingerprint(fp), &with_fingerprint(fp + 1)).unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(report.mismatches[0].field, "trace_fingerprint");
+        assert_eq!(
+            (report.mismatches[0].old, report.mismatches[0].new),
+            (fp, fp + 1)
+        );
     }
 
     #[test]

@@ -160,29 +160,13 @@ impl CacheBinding {
     fn header_line(&self) -> String {
         format!(
             "{{\"schema_version\":{CACHE_SCHEMA_VERSION},\"kind\":\"{CACHE_KIND}\",\
-             \"scenario\":{},\"seed\":{},\"mode\":{},\"spec_digest\":\"{}\"}}",
-            json_string(&self.scenario),
+             \"scenario\":\"{}\",\"seed\":{},\"mode\":\"{}\",\"spec_digest\":\"{}\"}}",
+            serde_json::escape(&self.scenario),
             self.seed,
-            json_string(&self.mode),
+            serde_json::escape(&self.mode),
             self.spec_digest
         )
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// An open cache session: rows loaded from disk (when present and
@@ -458,6 +442,40 @@ mod tests {
             CacheSession::open(&path, binding()),
             Err(CacheError::Corrupt(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn header_binds_on_parsed_values_not_escaping() {
+        // A header whose strings use `\u` escapes where the writer now
+        // uses short ones (`\t`) binds the same: rows load.
+        let spec = ScenarioSpec::new("tab\there", 3, Algorithm::Majority);
+        let binding = CacheBinding::new(&spec, Strategy::Dfs, false, 7);
+        let header = binding.header_line();
+        assert!(header.contains("tab\\there"), "{header}");
+        let path = tmp("escapes.cache");
+        let old_style = header.replace("tab\\there", "tab\\u0009here");
+        std::fs::write(&path, format!("{old_style}\n{:016x} 3 0\n", 0xAAAAu64)).unwrap();
+        let s = CacheSession::open(&path, binding).unwrap();
+        assert!(s.stale().is_none(), "{:?}", s.stale());
+        assert_eq!(s.loaded_rows(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_bind_exactly() {
+        let spec = ScenarioSpec::new("cache-test", 3, Algorithm::Majority);
+        let path = tmp("bigseed.cache");
+        let mut s = CacheSession::open(
+            &path,
+            CacheBinding::new(&spec, Strategy::Dfs, false, 1 << 60),
+        )
+        .unwrap();
+        s.record(7, 3, 0);
+        s.mark_complete(false);
+        s.save().unwrap();
+        let next = CacheBinding::new(&spec, Strategy::Dfs, false, (1 << 60) + 1);
+        assert!(CacheSession::open(&path, next).unwrap().stale().is_some());
         std::fs::remove_file(&path).ok();
     }
 

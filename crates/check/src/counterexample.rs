@@ -307,6 +307,21 @@ mod tests {
     }
 
     #[test]
+    fn seed_above_2_pow_53_round_trips_exactly() {
+        let cx = Counterexample {
+            seed: u64::MAX - 1,
+            ..sample()
+        };
+        let parsed = Counterexample::parse(&cx.body_json()).unwrap();
+        assert_eq!(
+            parsed.seed,
+            u64::MAX - 1,
+            "replay must use the recorded seed"
+        );
+        assert_eq!(parsed, cx);
+    }
+
+    #[test]
     fn enveloped_files_parse_too() {
         let cx = sample();
         let enveloped = format!(

@@ -6,9 +6,10 @@
 //! resolves the same nondeterminism from explicit [`Choice`]s instead,
 //! so a schedule becomes a first-class, enumerable, serializable value.
 //! A [`CheckModel`] is built from a [`ScenarioSpec`]; [`CheckState`]
-//! applies choices one at a time through the engine's choice-point hooks
-//! ([`urb_engine::drive_step_observed`] via
-//! [`TopicEngine::step_observed`]), checks the URB integrity invariants
+//! applies choices one at a time through the engine's one stepping path
+//! ([`TopicEngine::step_mux`]) — every emission the step leaves in the
+//! [`MuxBuffers`] becomes pending deliver-or-drop choices, every delivery
+//! a potential crash point — checks the URB integrity invariants
 //! after every step, and evaluates the eventual properties (validity,
 //! agreement) at *silent* states — states where no choice is enabled and
 //! every surviving process is quiescent, so nothing can ever happen
@@ -28,7 +29,7 @@
 
 use std::collections::BTreeSet;
 use urb_core::Algorithm;
-use urb_engine::{StepBuffers, StepInput, StepObserver, TopicEngine};
+use urb_engine::{MuxBuffers, StepInput, TopicEngine};
 use urb_sim::checker::{check_urb, CheckReport};
 use urb_sim::metrics::{BroadcastRecord, DeliveryRecord};
 use urb_sim::{
@@ -196,24 +197,8 @@ impl CheckModel {
             broadcasts: Vec::new(),
             deliveries: Vec::new(),
             violation: None,
-            scratch: StepBuffers::new(),
+            mux: MuxBuffers::new(),
         }
-    }
-}
-
-/// Effects of one engine step, captured through the choice-point hooks.
-#[derive(Default)]
-struct Effects {
-    emitted: Vec<WireMessage>,
-    delivered: Vec<Delivery>,
-}
-
-impl StepObserver for Effects {
-    fn on_emit(&mut self, msg: &WireMessage) {
-        self.emitted.push(msg.clone());
-    }
-    fn on_deliver(&mut self, delivery: &Delivery) {
-        self.delivered.push(delivery.clone());
     }
 }
 
@@ -238,7 +223,9 @@ pub struct CheckState<'m> {
     broadcasts: Vec<BroadcastRecord>,
     deliveries: Vec<DeliveryRecord>,
     violation: Option<Vec<String>>,
-    scratch: StepBuffers,
+    /// The last step's topic-tagged effects, handed to
+    /// [`CheckState::finish_step`] and cleared there.
+    mux: MuxBuffers,
 }
 
 impl<'m> CheckState<'m> {
@@ -318,12 +305,12 @@ impl<'m> CheckState<'m> {
         }
     }
 
-    fn record_deliveries(&mut self, pid: usize, topic: TopicId, delivered: &[Delivery]) {
-        for d in delivered {
+    fn record_deliveries(&mut self, pid: usize, delivered: &[(TopicId, Delivery)]) {
+        for (topic, d) in delivered {
             self.delivered_once[pid] = true;
             self.deliveries.push(DeliveryRecord {
                 pid,
-                topic,
+                topic: *topic,
                 tag: d.tag,
                 time: self.steps,
                 fast: d.fast,
@@ -452,18 +439,14 @@ impl<'m> CheckState<'m> {
                     return;
                 }
                 let fd = self.fd_snapshot();
-                let mut effects = Effects::default();
-                let mut scratch = std::mem::take(&mut self.scratch);
                 let tag = self.engines[b.pid]
-                    .step_observed(
+                    .step_mux(
                         b.topic,
                         StepInput::Broadcast(b.payload.clone()),
                         &fd,
-                        &mut scratch,
-                        &mut effects,
+                        &mut self.mux,
                     )
                     .expect("urb_broadcast assigns a tag");
-                self.scratch = scratch;
                 self.broadcasts.push(BroadcastRecord {
                     pid: b.pid,
                     topic: b.topic,
@@ -471,7 +454,7 @@ impl<'m> CheckState<'m> {
                     time: self.steps,
                     payload: b.payload,
                 });
-                self.finish_step(b.pid, b.topic, effects);
+                self.finish_step(b.pid);
             }
             Choice::Deliver { slot } => {
                 let p = self.pending.remove(slot);
@@ -483,17 +466,8 @@ impl<'m> CheckState<'m> {
                     return;
                 }
                 let fd = self.fd_snapshot();
-                let mut effects = Effects::default();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.engines[p.to].step_observed(
-                    p.topic,
-                    StepInput::Receive(p.msg),
-                    &fd,
-                    &mut scratch,
-                    &mut effects,
-                );
-                self.scratch = scratch;
-                self.finish_step(p.to, p.topic, effects);
+                self.engines[p.to].step_mux(p.topic, StepInput::Receive(p.msg), &fd, &mut self.mux);
+                self.finish_step(p.to);
             }
             Choice::Drop { slot } => {
                 self.pending.remove(slot);
@@ -507,17 +481,8 @@ impl<'m> CheckState<'m> {
                 let fd = self.fd_snapshot();
                 let topics: Vec<TopicId> = self.engines[pid].instance_topics().collect();
                 for topic in topics {
-                    let mut effects = Effects::default();
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.engines[pid].step_observed(
-                        topic,
-                        StepInput::Tick,
-                        &fd,
-                        &mut scratch,
-                        &mut effects,
-                    );
-                    self.scratch = scratch;
-                    self.finish_step(pid, topic, effects);
+                    self.engines[pid].step_mux(topic, StepInput::Tick, &fd, &mut self.mux);
+                    self.finish_step(pid);
                 }
                 // The tick is also the reap point (the simulator's
                 // quiescence rule): drained instances free their state
@@ -557,11 +522,17 @@ impl<'m> CheckState<'m> {
         }
     }
 
-    fn finish_step(&mut self, pid: usize, topic: TopicId, effects: Effects) {
-        for m in &effects.emitted {
-            self.route(pid, topic, m);
+    /// Hands one step's effects on, in order: every emission is routed
+    /// into pending choices, then every delivery is recorded (and
+    /// integrity re-checked).
+    fn finish_step(&mut self, pid: usize) {
+        let mut mux = std::mem::take(&mut self.mux);
+        for (topic, m) in &mux.outbox {
+            self.route(pid, *topic, m);
         }
-        self.record_deliveries(pid, topic, &effects.delivered);
+        self.record_deliveries(pid, &mux.deliveries);
+        mux.clear();
+        self.mux = mux;
     }
 
     /// True when no choice is enabled *and* every surviving process is

@@ -15,14 +15,16 @@
 //!   every backend funnels through this function, so a step is *provably
 //!   identical* across the simulator, the runtime and the harness;
 //! * [`StepBuffers`] — the reusable outbox/delivery buffers a step fills
-//!   (drivers keep one per node or one per loop and reuse it, so the hot
-//!   path performs no steady-state allocation);
+//!   (the engine keeps one as scratch and reuses it, so the hot path
+//!   performs no steady-state allocation);
 //! * [`TopicEngine`] — the owning per-node engine used by every
 //!   multi-node driver: one protocol instance per [`TopicId`] sharing one
 //!   deterministic RNG stream, cumulative [`EngineCounters`] and
-//!   [`ProcessStats`] access (DESIGN.md §12). A single-instance driver
-//!   holds a one-topic engine ([`TopicEngine::single`]) and steps
-//!   [`TopicId::ZERO`];
+//!   [`ProcessStats`] access (DESIGN.md §12). It is stepped one way only:
+//!   [`TopicEngine::step_mux`], [`TopicEngine::tick_all`] and
+//!   [`TopicEngine::receive_mux_frame`] all append topic-tagged effects
+//!   to a [`MuxBuffers`]. A single-instance driver holds a one-topic
+//!   engine and steps [`TopicId::ZERO`];
 //! * the **wire plane** (DESIGN.md D8, §10): [`MuxBuffers::take_mux_frame`]
 //!   encodes everything a node emitted in one step, across every topic,
 //!   into one pooled [`MuxBatch`] frame (zero per-message allocation), so
@@ -87,23 +89,6 @@ impl StepBuffers {
     }
 }
 
-/// Observer of the **choice points** one protocol step opens up.
-///
-/// Every effect a step produces is a point where a scheduler may later
-/// interpose nondeterministically: each emitted wire message becomes a
-/// future delivery (or adversarial-drop) decision, and each URB-delivery
-/// is where crash-on-delivery adversaries arm. Backends that merely
-/// *execute* a schedule (the simulator's event queue, the runtime's
-/// channels) drain [`StepBuffers`] wholesale and never need this; the
-/// systematic explorer (`urb-check`) hooks it to register every effect as
-/// an explorable choice the moment [`drive_step_observed`] surfaces it.
-pub trait StepObserver {
-    /// One message left the step's outbox (in emission order).
-    fn on_emit(&mut self, msg: &WireMessage);
-    /// One URB-delivery fired during the step (in delivery order).
-    fn on_deliver(&mut self, delivery: &Delivery);
-}
-
 /// Executes one protocol step. **The** shared implementation: every
 /// backend's step goes through this function.
 ///
@@ -134,37 +119,6 @@ pub fn drive_step(
             None
         }
         StepInput::Broadcast(payload) => Some(proc.urb_broadcast(payload, &mut ctx)),
-    }
-}
-
-/// [`drive_step`] with choice-point hooks: after the step executes, every
-/// emission and delivery it produced is surfaced to `obs`, in order,
-/// while the buffers still hold exactly this step's output. This is the
-/// engine-level entry point of the exploration plane (DESIGN.md §11):
-/// the explorer turns each observed emission into a pending
-/// deliver-or-drop choice and each observed delivery into a potential
-/// crash point.
-pub fn drive_step_observed(
-    proc: &mut dyn AnonProcess,
-    input: StepInput,
-    fd: &FdSnapshot,
-    rng: &mut dyn RandomSource,
-    buf: &mut StepBuffers,
-    obs: &mut dyn StepObserver,
-) -> Option<Tag> {
-    let tag = drive_step(proc, input, fd, rng, buf);
-    surface_effects(buf, obs);
-    tag
-}
-
-/// Surfaces one finished step's buffered effects to an observer, in
-/// order. The one definition both observed entry points share.
-fn surface_effects(buf: &StepBuffers, obs: &mut dyn StepObserver) {
-    for m in &buf.outbox {
-        obs.on_emit(m);
-    }
-    for d in &buf.deliveries {
-        obs.on_deliver(d);
     }
 }
 
@@ -273,8 +227,7 @@ impl MuxBuffers {
 /// the shared links (DESIGN.md §12). `TopicEngine` owns that map. With
 /// exactly one topic it is bit-for-bit the old single-instance engine —
 /// same RNG consumption, same counters — which is what keeps every
-/// single-topic artifact byte-identical ([`TopicEngine::single`] builds
-/// that engine).
+/// single-topic artifact byte-identical.
 ///
 /// Since the dynamic topic control plane (DESIGN.md §15) the map is an
 /// interned **slot map**: a sorted directory of `TopicId → slot` entries
@@ -498,11 +451,6 @@ impl TopicEngine {
         }
     }
 
-    /// Single-topic convenience constructor.
-    pub fn single(proc: Box<dyn AnonProcess + Send>, rng: SplitMix64) -> Self {
-        TopicEngine::new(vec![proc], rng)
-    }
-
     /// Number of topic instances this engine currently holds (live plus
     /// draining; reaped topics no longer count).
     pub fn topic_count(&self) -> usize {
@@ -720,65 +668,15 @@ impl TopicEngine {
         self.subscriptions.contains(&topic)
     }
 
-    /// Runs one step of `topic`'s instance (see [`drive_step`]) and
-    /// updates the counters. Panics when `topic` has no instance — the
-    /// stepping APIs are for topics the driver knows are present
-    /// (lifecycle-aware drivers consult [`TopicEngine::is_live`] /
-    /// [`TopicEngine::has_instance`] first).
-    pub fn step(
-        &mut self,
-        topic: TopicId,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-    ) -> Option<Tag> {
-        let i = self.slot_index_or_panic(topic);
-        self.step_slot(i, input, fd, buf)
-    }
-
-    /// [`TopicEngine::step`] with the slot already resolved — the
-    /// directory-bypassing core every batched path funnels through once
-    /// it has probed (or run-length-cached) the slot index. Counter and
-    /// RNG behavior are exactly `step`'s.
-    fn step_slot(
-        &mut self,
-        i: usize,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-    ) -> Option<Tag> {
-        self.counters.steps += 1;
-        match &input {
-            StepInput::Tick => self.counters.ticks += 1,
-            StepInput::Receive(_) => self.counters.receives += 1,
-            StepInput::Broadcast(_) => self.counters.broadcasts += 1,
-        }
-        let proc = self.slots[i].proc.as_mut();
-        let tag = drive_step(proc, input, fd, &mut self.rng, buf);
-        self.counters.messages_out += buf.outbox.len() as u64;
-        self.counters.deliveries += buf.deliveries.len() as u64;
-        tag
-    }
-
-    /// [`TopicEngine::step`] through the choice-point hooks of
-    /// [`drive_step_observed`]: counters update exactly as for `step`,
-    /// and every emission/delivery of the step is surfaced to `obs`.
-    pub fn step_observed(
-        &mut self,
-        topic: TopicId,
-        input: StepInput,
-        fd: &FdSnapshot,
-        buf: &mut StepBuffers,
-        obs: &mut dyn StepObserver,
-    ) -> Option<Tag> {
-        let tag = self.step(topic, input, fd, buf);
-        surface_effects(buf, obs);
-        tag
-    }
-
-    /// Steps `topic` and appends its tagged effects to `mux` (which is
-    /// *not* cleared — successive topic steps accumulate into one
-    /// multiplexed outbox, drained by [`MuxBuffers::take_mux_frame`]).
+    /// Runs one step of `topic`'s instance (see [`drive_step`]), updates
+    /// the counters and appends the step's effects to `mux`, tagged with
+    /// `topic`. `mux` is *not* cleared: successive topic steps accumulate
+    /// into one multiplexed outbox, drained by
+    /// [`MuxBuffers::take_mux_frame`]. This, [`TopicEngine::tick_all`] and
+    /// [`TopicEngine::receive_mux_frame`] are the only ways to step an
+    /// engine. Panics when `topic` has no instance — lifecycle-aware
+    /// drivers consult [`TopicEngine::is_live`] /
+    /// [`TopicEngine::has_instance`] first.
     pub fn step_mux(
         &mut self,
         topic: TopicId,
@@ -790,8 +688,9 @@ impl TopicEngine {
         self.step_mux_slot(i, topic, input, fd, mux)
     }
 
-    /// [`TopicEngine::step_mux`] with the slot already resolved (see
-    /// [`TopicEngine::step_slot`]).
+    /// [`TopicEngine::step_mux`] with the slot already resolved — the
+    /// directory-bypassing core every stepping path funnels through once
+    /// it has probed (or run-length-cached) the slot index.
     fn step_mux_slot(
         &mut self,
         i: usize,
@@ -800,13 +699,20 @@ impl TopicEngine {
         fd: &FdSnapshot,
         mux: &mut MuxBuffers,
     ) -> Option<Tag> {
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        let tag = self.step_slot(i, input, fd, &mut scratch);
+        self.counters.steps += 1;
+        match &input {
+            StepInput::Tick => self.counters.ticks += 1,
+            StepInput::Receive(_) => self.counters.receives += 1,
+            StepInput::Broadcast(_) => self.counters.broadcasts += 1,
+        }
+        let (proc, scratch) = (self.slots[i].proc.as_mut(), &mut self.batch_scratch);
+        let tag = drive_step(proc, input, fd, &mut self.rng, scratch);
+        self.counters.messages_out += scratch.outbox.len() as u64;
+        self.counters.deliveries += scratch.deliveries.len() as u64;
         mux.outbox
             .extend(scratch.outbox.drain(..).map(|m| (topic, m)));
         mux.deliveries
             .extend(scratch.deliveries.drain(..).map(|d| (topic, d)));
-        self.batch_scratch = scratch;
         tag
     }
 
@@ -963,7 +869,7 @@ impl TopicEngine {
     }
 
     /// Direct access to one topic's protocol instance (diagnostics only;
-    /// stepping must go through [`TopicEngine::step`]). Panics when
+    /// stepping must go through [`TopicEngine::step_mux`]). Panics when
     /// `topic` has no instance.
     pub fn protocol(&self, topic: TopicId) -> &dyn AnonProcess {
         self.slots[self.slot_index_or_panic(topic)].proc.as_ref()
@@ -1330,67 +1236,59 @@ mod tests {
     }
 
     fn engine() -> TopicEngine {
-        TopicEngine::single(
-            Box::new(Scripted {
-                pending: Vec::new(),
-            }),
-            SplitMix64::new(7),
-        )
+        topic_engine(1, 7)
     }
 
     #[test]
     fn drive_step_clears_buffers_between_steps() {
-        let mut e = engine();
         let fd = FdSnapshot::none();
+        let mut rng = SplitMix64::new(7);
+        let mut proc = Scripted {
+            pending: Vec::new(),
+        };
         let mut buf = StepBuffers::new();
-        let tag = e.step(
-            TopicId::ZERO,
+        let tag = drive_step(
+            &mut proc,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
+            &mut rng,
             &mut buf,
         );
         assert!(tag.is_some());
         assert_eq!(buf.outbox.len(), 1);
         // A silent step leaves empty buffers, not the previous contents.
-        let mut silent = TopicEngine::single(
-            Box::new(Scripted {
-                pending: Vec::new(),
-            }),
-            SplitMix64::new(8),
-        );
-        silent.step(TopicId::ZERO, StepInput::Tick, &fd, &mut buf);
+        let mut silent = Scripted {
+            pending: Vec::new(),
+        };
+        drive_step(&mut silent, StepInput::Tick, &fd, &mut rng, &mut buf);
         assert!(buf.is_silent());
     }
 
     #[test]
     fn identical_input_sequences_produce_identical_output() {
         // The cross-backend guarantee in miniature: same seed, same inputs
-        // => byte-identical emissions, whichever driver calls drive_step.
+        // => byte-identical emissions, whichever driver steps the engine.
         let fd = FdSnapshot::none();
         let run = || {
             let mut e = engine();
-            let mut buf = StepBuffers::new();
-            let mut log: Vec<WireMessage> = Vec::new();
-            e.step(
+            let mut mux = MuxBuffers::new();
+            e.step_mux(
                 TopicId::ZERO,
                 StepInput::Broadcast(Payload::from("m")),
                 &fd,
-                &mut buf,
+                &mut mux,
             );
-            log.extend(buf.outbox.iter().cloned());
-            e.step(
+            e.step_mux(
                 TopicId::ZERO,
                 StepInput::Receive(WireMessage::Msg {
                     tag: Tag(9),
                     payload: Payload::from("x"),
                 }),
                 &fd,
-                &mut buf,
+                &mut mux,
             );
-            log.extend(buf.outbox.iter().cloned());
-            e.step(TopicId::ZERO, StepInput::Tick, &fd, &mut buf);
-            log.extend(buf.outbox.iter().cloned());
-            log
+            e.step_mux(TopicId::ZERO, StepInput::Tick, &fd, &mut mux);
+            mux.outbox
         };
         assert_eq!(run(), run());
     }
@@ -1466,79 +1364,39 @@ mod tests {
         assert_eq!(mem_rx.counters().receives, wire_rx.counters().receives);
     }
 
-    /// Collects observed effects for the hook tests.
-    #[derive(Default)]
-    struct Log {
-        emits: Vec<WireMessage>,
-        delivers: usize,
-    }
-
-    impl StepObserver for Log {
-        fn on_emit(&mut self, msg: &WireMessage) {
-            self.emits.push(msg.clone());
-        }
-        fn on_deliver(&mut self, _d: &Delivery) {
-            self.delivers += 1;
-        }
-    }
-
     #[test]
-    fn observed_step_surfaces_every_effect_in_order() {
+    fn step_mux_tags_every_effect_in_order() {
         let mut e = engine();
         let fd = FdSnapshot::none();
-        let mut buf = StepBuffers::new();
-        let mut log = Log::default();
-        e.step_observed(
+        let mut mux = MuxBuffers::new();
+        e.step_mux(
             TopicId::ZERO,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
-            &mut buf,
-            &mut log,
+            &mut mux,
         );
-        e.step_observed(
+        e.step_mux(
             TopicId::ZERO,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(3),
                 payload: Payload::from("x"),
             }),
             &fd,
-            &mut buf,
-            &mut log,
+            &mut mux,
         );
-        assert_eq!(log.emits.len(), 2, "MSG then ACK observed");
-        assert_eq!(log.emits[0].kind(), WireKind::Msg);
-        assert_eq!(log.emits[1].kind(), WireKind::Ack);
-        assert_eq!(log.delivers, 1);
-        // The hook observes, it does not consume: the buffers still hold
-        // the last step's output for the backend to drain.
-        assert_eq!(buf.outbox.len(), 1);
-        assert_eq!(buf.deliveries.len(), 1);
-    }
-
-    #[test]
-    fn observed_and_plain_steps_are_identical() {
-        let fd = FdSnapshot::none();
-        let mut plain = engine();
-        let mut observed = engine();
-        let mut a = StepBuffers::new();
-        let mut b = StepBuffers::new();
-        let mut log = Log::default();
-        plain.step(
-            TopicId::ZERO,
-            StepInput::Broadcast(Payload::from("m")),
-            &fd,
-            &mut a,
+        // Successive steps accumulate: MSG then ACK, each tagged.
+        let kinds: Vec<(TopicId, WireKind)> =
+            mux.outbox.iter().map(|(t, m)| (*t, m.kind())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (TopicId::ZERO, WireKind::Msg),
+                (TopicId::ZERO, WireKind::Ack)
+            ]
         );
-        observed.step_observed(
-            TopicId::ZERO,
-            StepInput::Broadcast(Payload::from("m")),
-            &fd,
-            &mut b,
-            &mut log,
-        );
-        assert_eq!(a.outbox, b.outbox);
-        assert_eq!(plain.counters(), observed.counters());
-        assert_eq!(log.emits, b.outbox);
+        assert_eq!(mux.deliveries.len(), 1);
+        assert_eq!(mux.deliveries[0].0, TopicId::ZERO);
+        assert_eq!(mux.deliveries[0].1.tag, Tag(3));
     }
 
     #[test]
@@ -1548,18 +1406,18 @@ mod tests {
         let mut b = engine();
         let fresh = a.fingerprint();
         assert_eq!(fresh, b.fingerprint(), "equal states digest equally");
-        let mut buf = StepBuffers::new();
-        a.step(
+        let mut mux = MuxBuffers::new();
+        a.step_mux(
             TopicId::ZERO,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
-            &mut buf,
+            &mut mux,
         );
         assert_ne!(a.fingerprint(), fresh, "pending message changes the digest");
         // History alone (a silent tick) leaves the digest unchanged even
         // though the counters moved.
         let before = b.fingerprint();
-        b.step(TopicId::ZERO, StepInput::Tick, &fd, &mut buf);
+        b.step_mux(TopicId::ZERO, StepInput::Tick, &fd, &mut mux);
         assert_eq!(b.fingerprint(), before);
         assert_ne!(b.counters().steps, 0);
     }
@@ -1579,53 +1437,45 @@ mod tests {
 
     #[test]
     fn one_topic_engine_is_bit_identical_to_node_engine() {
-        // The byte-compatibility cornerstone: `TopicEngine::single` and a
-        // one-instance `TopicEngine::new` consume the RNG stream exactly
-        // like a bare `drive_step` loop over one instance — which pins
-        // the single-topic RNG consumption every golden trace depends on.
+        // The byte-compatibility cornerstone: a one-instance engine
+        // consumes the RNG stream exactly like a bare `drive_step` loop
+        // over one instance — which pins the single-topic RNG consumption
+        // every golden trace depends on.
         let fd = FdSnapshot::none();
-        let mut single = engine();
-        let mut topic = topic_engine(1, 7);
+        let mut engine = engine();
         let mut bare = Scripted {
             pending: Vec::new(),
         };
         let mut bare_rng = SplitMix64::new(7);
-        let mut a = StepBuffers::new();
-        let mut b = StepBuffers::new();
-        let mut c = StepBuffers::new();
+        let mut mux = MuxBuffers::new();
+        let mut buf = StepBuffers::new();
+        let untagged = |mux: &mut MuxBuffers| -> Vec<WireMessage> {
+            mux.deliveries.clear();
+            mux.outbox.drain(..).map(|(_, m)| m).collect()
+        };
         for round in 0..4u32 {
             let payload = Payload::from(format!("m{round}").as_str());
-            let ta = single.step(
+            let tag = engine.step_mux(
                 TopicId::ZERO,
                 StepInput::Broadcast(payload.clone()),
                 &fd,
-                &mut a,
+                &mut mux,
             );
-            let tb = topic.step(
-                TopicId::ZERO,
-                StepInput::Broadcast(payload.clone()),
-                &fd,
-                &mut b,
-            );
-            let tc = drive_step(
+            let bare_tag = drive_step(
                 &mut bare,
                 StepInput::Broadcast(payload),
                 &fd,
                 &mut bare_rng,
-                &mut c,
+                &mut buf,
             );
-            assert_eq!(ta, tb, "round {round}");
-            assert_eq!(ta, tc, "round {round}");
-            assert_eq!(a.outbox, b.outbox);
-            assert_eq!(a.outbox, c.outbox);
-            single.step(TopicId::ZERO, StepInput::Tick, &fd, &mut a);
-            topic.step(TopicId::ZERO, StepInput::Tick, &fd, &mut b);
-            drive_step(&mut bare, StepInput::Tick, &fd, &mut bare_rng, &mut c);
-            assert_eq!(a.outbox, b.outbox);
-            assert_eq!(a.outbox, c.outbox);
+            assert_eq!(tag, bare_tag, "round {round}");
+            assert_eq!(untagged(&mut mux), buf.outbox);
+            engine.tick_all(&fd, &mut mux);
+            drive_step(&mut bare, StepInput::Tick, &fd, &mut bare_rng, &mut buf);
+            assert_eq!(untagged(&mut mux), buf.outbox);
         }
-        assert_eq!(single.counters(), topic.counters());
-        assert_eq!(single.fingerprint(), topic.fingerprint());
+        assert_eq!(engine.counters().broadcasts, 4);
+        assert_eq!(engine.counters().ticks, 4);
     }
 
     #[test]
@@ -1781,22 +1631,22 @@ mod tests {
     fn counters_track_activity() {
         let mut e = engine();
         let fd = FdSnapshot::none();
-        let mut buf = StepBuffers::new();
-        e.step(
+        let mut mux = MuxBuffers::new();
+        e.step_mux(
             TopicId::ZERO,
             StepInput::Broadcast(Payload::from("m")),
             &fd,
-            &mut buf,
+            &mut mux,
         );
-        e.step(TopicId::ZERO, StepInput::Tick, &fd, &mut buf);
-        e.step(
+        e.tick_all(&fd, &mut mux);
+        e.step_mux(
             TopicId::ZERO,
             StepInput::Receive(WireMessage::Msg {
                 tag: Tag(1),
                 payload: Payload::from("z"),
             }),
             &fd,
-            &mut buf,
+            &mut mux,
         );
         let c = e.counters();
         assert_eq!(c.steps, 3);
@@ -2272,7 +2122,7 @@ mod tests {
 
     #[test]
     fn save_snapshot_errors_for_unsupported_algorithms() {
-        let e = TopicEngine::single(Box::new(Opaque), SplitMix64::new(1));
+        let e = TopicEngine::new(vec![Box::new(Opaque)], SplitMix64::new(1));
         assert!(matches!(
             e.save_snapshot(),
             Err(SnapshotError::Malformed(_))

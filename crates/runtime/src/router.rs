@@ -22,6 +22,11 @@
 //! * a **re-encoded thinned frame** (built in a pooled buffer, no
 //!   per-message allocation) when loss thinned the batch.
 //!
+//! A frame's lifecycle control section (DESIGN.md §15) is never thinned:
+//! controls are flooded once and never retransmitted, so every copy keeps
+//! them, and a destination whose messages were all lost still receives a
+//! control-only frame when the ingress frame carried controls.
+//!
 //! Traffic counters count *messages*, not frames, so quiescence
 //! observation and statistics are unchanged by batching or multiplexing.
 
@@ -33,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use urb_types::{
-    encode_mux_frame_into, BufPool, MuxBatch, RandomSource, TopicId, WireKind, WireMessage,
-    Xoshiro256,
+    encode_mux_frame_with_controls_into, BufPool, MuxBatch, RandomSource, TopicControl, TopicId,
+    WireKind, WireMessage, Xoshiro256,
 };
 
 /// Aggregate router statistics.
@@ -107,15 +112,16 @@ pub fn spawn_router(
         .name("urb-router".into())
         .spawn(move || {
             let mut rng = Xoshiro256::new(seed ^ 0x4007_E4B0_5555_0001);
-            // Reusable scratch: the decoded ingress entries and the
-            // per-destination survivor list.
+            // Reusable scratch: the decoded ingress entries and controls,
+            // and the per-destination survivor list.
             let mut decoded: Vec<(TopicId, WireMessage)> = Vec::new();
+            let mut controls: Vec<TopicControl> = Vec::new();
             let mut survivors: Vec<(TopicId, WireMessage)> = Vec::new();
             while let Ok((from, frame)) = ingress.recv() {
                 // In-process frames come from the node's zero-copy mux
                 // encode; a decode failure is a codec bug, not a network
                 // condition.
-                MuxBatch::decode_shared_into(&frame, &mut decoded)
+                MuxBatch::decode_shared_with_controls_into(&frame, &mut decoded, &mut controls)
                     .expect("malformed frame from node — codec bug");
                 counters.batches.fetch_add(1, Ordering::Relaxed);
                 let mut protocol = 0u64;
@@ -143,7 +149,7 @@ pub fn spawn_router(
                         counters
                             .dropped_copies
                             .fetch_add((decoded.len() - survivors.len()) as u64, Ordering::Relaxed);
-                        if survivors.is_empty() {
+                        if survivors.is_empty() && controls.is_empty() {
                             continue;
                         }
                         if survivors.len() == decoded.len() {
@@ -153,7 +159,7 @@ pub fn spawn_router(
                             frame.clone()
                         } else {
                             let mut buf = pool.acquire();
-                            encode_mux_frame_into(&survivors, &mut buf);
+                            encode_mux_frame_with_controls_into(&survivors, &controls, &mut buf);
                             counters.reencoded_frames.fetch_add(1, Ordering::Relaxed);
                             Bytes::copy_from_slice(&buf)
                         }
@@ -182,21 +188,25 @@ mod tests {
     use urb_types::{Payload, Tag};
 
     fn frame_of(entries: &[(u32, u128)]) -> Bytes {
-        let mux = MuxBatch::from_entries(
-            &entries
-                .iter()
-                .map(|&(t, tag)| {
-                    (
-                        TopicId(t),
-                        WireMessage::Msg {
-                            tag: Tag(tag),
-                            payload: Payload::from("m"),
-                        },
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        mux.encode()
+        frame_with_controls(entries, &[])
+    }
+
+    fn frame_with_controls(entries: &[(u32, u128)], controls: &[TopicControl]) -> Bytes {
+        let entries: Vec<(TopicId, WireMessage)> = entries
+            .iter()
+            .map(|&(t, tag)| {
+                (
+                    TopicId(t),
+                    WireMessage::Msg {
+                        tag: Tag(tag),
+                        payload: Payload::from("m"),
+                    },
+                )
+            })
+            .collect();
+        let mut buf = bytes::BytesMut::new();
+        encode_mux_frame_with_controls_into(&entries, controls, &mut buf);
+        buf.freeze()
     }
 
     fn recv_mux(rx: &crossbeam_channel::Receiver<NodeInput>) -> MuxBatch {
@@ -303,6 +313,76 @@ mod tests {
         assert_eq!(s.dropped_copies as usize, 64 - survived);
         assert_eq!(s.reencoded_frames, 1, "thinned sub-batch re-encoded");
         assert_eq!(pool.stats().acquired, 1, "re-encode used the pool");
+    }
+
+    fn create_control(topic: u32) -> TopicControl {
+        TopicControl::Create {
+            topic: TopicId(topic),
+            algorithm: 2,
+            param: 0,
+        }
+    }
+
+    #[test]
+    fn control_only_frame_reaches_every_inbox_under_total_loss() {
+        let (tx, rx) = unbounded();
+        let mut inbox_rx = Vec::new();
+        let mut inbox_tx = Vec::new();
+        for _ in 0..3 {
+            let (t, r) = unbounded();
+            inbox_tx.push(t);
+            inbox_rx.push(r);
+        }
+        let counters = Arc::new(TrafficCounters::default());
+        let h = spawn_router(
+            rx,
+            inbox_tx,
+            1.0,
+            4,
+            Arc::clone(&counters),
+            BufPool::default(),
+        );
+        tx.send((0, frame_with_controls(&[], &[create_control(5)])))
+            .unwrap();
+        drop(tx);
+        h.join().unwrap();
+        for (to, r) in inbox_rx.iter().enumerate() {
+            let mux = recv_mux(r);
+            assert_eq!(mux.len(), 0, "inbox {to}: no messages");
+            assert_eq!(mux.controls(), [create_control(5)], "inbox {to}");
+        }
+        assert_eq!(counters.snapshot().dropped_copies, 0);
+    }
+
+    #[test]
+    fn thinned_frame_keeps_its_controls() {
+        // Total loss empties the peer's message list, half loss over 64
+        // messages thins it; either way the control section rides along.
+        for (loss, seed) in [(1.0, 5), (0.5, 6)] {
+            let (tx, rx) = unbounded();
+            let (self_tx, self_rx) = unbounded();
+            let (peer_tx, peer_rx) = unbounded();
+            let h = spawn_router(
+                rx,
+                vec![self_tx, peer_tx],
+                loss,
+                seed,
+                Arc::new(TrafficCounters::default()),
+                BufPool::default(),
+            );
+            let entries: Vec<(u32, u128)> = (0..64).map(|i| (0, i)).collect();
+            let controls = [create_control(7)];
+            tx.send((0, frame_with_controls(&entries, &controls)))
+                .unwrap();
+            drop(tx);
+            h.join().unwrap();
+            let own = recv_mux(&self_rx);
+            assert_eq!(own.len(), 64, "self copy intact");
+            assert_eq!(own.controls(), controls);
+            let peer = recv_mux(&peer_rx);
+            assert!(peer.len() < 64, "loss {loss} thinned the peer copy");
+            assert_eq!(peer.controls(), controls, "loss {loss}");
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@
 //!   specs draw from;
 //! * [`minitoml`] — the first-party TOML-subset parser the spec loader
 //!   uses (no registry access, no `toml` crate — see `vendor/README.md`);
+//! * [`lockstep`] — the lockstep planes: soak runs (bounded memory over
+//!   millions of messages) and open-loop runs (latency under offered
+//!   load), both stepping engines directly over an instant network;
 //! * [`parallel`] — the multi-run executor: fan independent configurations
 //!   across all cores with results in input order (runs are pure functions
 //!   of their config, so parallel == serial, bit for bit).
@@ -53,13 +56,12 @@ pub mod channel;
 pub mod checker;
 pub mod crash;
 pub mod event;
+pub mod lockstep;
 pub mod metrics;
 pub mod minitoml;
-pub mod openloop;
 pub mod parallel;
 pub mod scenario;
 pub mod sim;
-pub mod soak;
 pub mod spec;
 pub mod trace;
 
@@ -68,13 +70,14 @@ pub use channel::{DelayModel, LossModel};
 pub use checker::{check_urb, CheckReport, PropertyVerdict};
 pub use crash::{CrashPlan, CrashRule};
 pub use event::SchedulerPolicy;
+pub use lockstep::{
+    open_loop, soak, OpenLoopConfig, OpenLoopOutcome, SoakConfig, SoakOutcome, SoakSample,
+};
 pub use metrics::{BroadcastRecord, DeliveryRecord, Metrics};
-pub use openloop::{open_loop, OpenLoopConfig, OpenLoopOutcome};
 pub use parallel::{run_many, run_many_on};
 pub use sim::{
     run, Blackout, DelayOverride, FdKind, LinkOverride, PlannedBroadcast, RunOutcome, SimConfig,
     TopicAction, TopicEventCfg,
 };
-pub use soak::{soak, SoakConfig, SoakOutcome, SoakSample};
 pub use spec::{CheckBounds, Expectations, ScenarioSpec, SpecError};
 pub use trace::{Trace, TraceConfig, TraceEvent, TraceKind};

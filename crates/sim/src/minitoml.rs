@@ -16,15 +16,15 @@
 //! * `#` comments and blank lines.
 //!
 //! Deliberately omitted (a scenario file needs none of them): dates,
-//! multi-line/literal strings, dotted keys and exotic escapes. Numbers are
-//! stored as `f64` (the `serde_json` shim's number model): integers are
-//! exact up to 2⁵³ — comfortably covering every field of a scenario spec —
-//! and an integer literal *beyond* that range is rejected rather than
-//! silently rounded (a quietly-altered seed would defeat the plane's
-//! replay-determinism guarantee). Duplicate keys and duplicate table
-//! headers are errors, not merges.
+//! multi-line/literal strings, dotted keys and exotic escapes. Integers
+//! are held exactly (the `serde_json` shim's number model) but are limited
+//! to ±2⁵³ — comfortably covering every field of a scenario spec — and an
+//! integer literal *beyond* that range is rejected, so no reader that
+//! converts through `f64` ever sees a quietly-altered seed (which would
+//! defeat the plane's replay-determinism guarantee). Duplicate keys and
+//! duplicate table headers are errors, not merges.
 
-use serde_json::Value;
+use serde_json::{Number, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -436,9 +436,8 @@ impl<'a> Parser<'a> {
             .chars()
             .filter(|&c| c != '_')
             .collect();
-        // The Value model stores numbers as f64 (exact up to 2⁵³). A
-        // larger integer literal would be *silently rounded* — fatal for
-        // a seed in a determinism-centric format — so reject it instead.
+        // Integers beyond ±2⁵³ are refused (see the module docs); the
+        // rest are stored exactly.
         if integral {
             let exact: i128 = text.parse().map_err(|_| self.err_at("malformed number"))?;
             if exact.unsigned_abs() > 1u128 << 53 {
@@ -446,10 +445,13 @@ impl<'a> Parser<'a> {
                     "integer {text} cannot be represented exactly (|value| > 2^53)"
                 )));
             }
+            return Ok(Value::Number(Number::from(exact as i64)));
         }
         text.parse::<f64>()
+            .ok()
+            .and_then(Number::from_f64)
             .map(Value::Number)
-            .map_err(|_| self.err_at("malformed number"))
+            .ok_or_else(|| self.err_at("malformed number"))
     }
 }
 

@@ -30,7 +30,7 @@ use crate::event::{Event, EventQueue, SchedulerPolicy};
 use crate::metrics::{BroadcastRecord, DeliveryRecord, Metrics, StatsSample};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use urb_core::Algorithm;
-use urb_engine::{EngineCounters, StepBuffers, StepInput, TopicEngine};
+use urb_engine::{EngineCounters, MuxBuffers, StepInput, TopicEngine};
 use urb_fd::{FdService, HeartbeatConfig, HeartbeatService, NoFd, OracleConfig, OracleFd};
 use urb_types::{
     Delivery, MemoryConfig, MuxPool, Payload, ProcessStats, RandomSource, SplitMix64, Tag, TopicId,
@@ -491,9 +491,10 @@ struct Runner {
     /// (`urb-engine`) that the runtime and the harness also step through —
     /// one protocol instance per topic, sharing the node's RNG stream.
     engines: Vec<TopicEngine>,
-    /// Reusable step buffers (cleared by every step; zero steady-state
+    /// Reusable step buffers: every step appends its topic-tagged
+    /// effects here and the caller drains them (zero steady-state
     /// allocation on the hot path).
-    scratch: StepBuffers,
+    mux: MuxBuffers,
     /// Reusable per-link batch verdicts.
     verdicts: Vec<bool>,
     /// Reusable failure-detector outbox (heartbeat traffic, topic-less —
@@ -602,7 +603,7 @@ pub fn run(config: SimConfig) -> RunOutcome {
 
     let mut runner = Runner {
         engines,
-        scratch: StepBuffers::new(),
+        mux: MuxBuffers::new(),
         verdicts: Vec::new(),
         fd_out: Vec::new(),
         // Retention sized to in-flight peaks: every scheduled Deliver event
@@ -727,16 +728,17 @@ impl Runner {
 
     /// Runs one engine step of `pid`'s `topic` instance (the shared
     /// `urb-engine` code path), records its deliveries, and returns
-    /// leaving the step's emissions in `self.scratch.outbox` for the
-    /// caller to tag and transmit. One failure-detector snapshot per
+    /// leaving the step's topic-tagged emissions in `self.mux.outbox`
+    /// for the caller to transmit. One failure-detector snapshot per
     /// step, shared by every topic instance — detectors observe
     /// processes, not topics.
     fn engine_step(&mut self, pid: usize, topic: TopicId, input: StepInput) -> Option<Tag> {
         let snapshot = self.fd.snapshot(pid, self.now);
-        let tag = self.engines[pid].step(topic, input, &snapshot, &mut self.scratch);
-        let deliveries = std::mem::take(&mut self.scratch.deliveries);
-        self.handle_deliveries(pid, topic, &deliveries);
-        self.scratch.deliveries = deliveries;
+        let tag = self.engines[pid].step_mux(topic, input, &snapshot, &mut self.mux);
+        let mut deliveries = std::mem::take(&mut self.mux.deliveries);
+        self.handle_deliveries(pid, &deliveries);
+        deliveries.clear();
+        self.mux.deliveries = deliveries;
         tag
     }
 
@@ -765,7 +767,7 @@ impl Runner {
         sweep.extend(self.engines[pid].instance_topics());
         for &topic in &sweep {
             self.engine_step(pid, topic, StepInput::Tick);
-            entries.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
+            entries.append(&mut self.mux.outbox);
         }
         self.sweep = sweep;
         // Reap draining instances that went quiescent or exhausted the
@@ -830,7 +832,7 @@ impl Runner {
             }
             // Snapshot taken per message, exactly as in unbatched delivery.
             self.engine_step(to, topic, StepInput::Receive(msg));
-            emitted.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
+            emitted.append(&mut self.mux.outbox);
         }
         self.batches.release(arrived);
         if emitted.is_empty() {
@@ -877,9 +879,9 @@ impl Runner {
         };
         self.tracer.urb_broadcast(&rec);
         self.metrics.broadcasts.push(rec);
-        if !self.scratch.outbox.is_empty() {
+        if !self.mux.outbox.is_empty() {
             let mut out = self.batches.acquire();
-            out.extend(self.scratch.outbox.drain(..).map(|m| (topic, m)));
+            out.append(&mut self.mux.outbox);
             self.transmit(pid, out);
         }
     }
@@ -925,12 +927,12 @@ impl Runner {
         }
     }
 
-    fn handle_deliveries(&mut self, pid: usize, topic: TopicId, deliveries: &[Delivery]) {
-        for d in deliveries {
+    fn handle_deliveries(&mut self, pid: usize, deliveries: &[(TopicId, Delivery)]) {
+        for (topic, d) in deliveries {
             self.deliveries_per_pid[pid] += 1;
             let rec = DeliveryRecord {
                 pid,
-                topic,
+                topic: *topic,
                 tag: d.tag,
                 time: self.now,
                 fast: d.fast,

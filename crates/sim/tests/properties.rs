@@ -180,7 +180,7 @@ proptest! {
     fn lifecycle_interleavings_respect_the_state_machine(ops in arb_lifecycle_ops()) {
         use std::collections::BTreeSet;
         use urb_core::Algorithm;
-        use urb_engine::{MuxBuffers, StepBuffers, StepInput, TopicEngine};
+        use urb_engine::{MuxBuffers, StepInput, TopicEngine};
         use urb_types::{FdSnapshot, SplitMix64, TopicId};
 
         let n = 3;
@@ -193,7 +193,6 @@ proptest! {
         );
         engine.set_drain_limit(2);
         let fd = FdSnapshot::none();
-        let mut scratch = StepBuffers::new();
         let mut mux = MuxBuffers::new();
 
         // Reference model: the slot map is `live ∪ draining`; `retired`
@@ -243,16 +242,15 @@ proptest! {
                         // Only live topics accept broadcasts (the driver
                         // contract: it checks `is_live` first).
                         prop_assert!(engine.is_live(t));
-                        let tag = engine.step(
+                        let tag = engine.step_mux(
                             t,
                             StepInput::Broadcast(Payload::from("p")),
                             &fd,
-                            &mut scratch,
+                            &mut mux,
                         );
                         prop_assert!(tag.is_some());
                         broadcasts_on_live += 1;
-                        scratch.outbox.clear();
-                        scratch.deliveries.clear();
+                        mux.clear();
                     } else {
                         prop_assert!(!engine.is_live(t), "{} must not be live", t);
                     }
